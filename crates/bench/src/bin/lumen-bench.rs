@@ -1,12 +1,13 @@
 //! `lumen-bench` — the perf-telemetry harness behind the CI regression
 //! gate.
 //!
-//! `run` executes a fixed suite of micro benchmarks (whole-clip detection
-//! with and without instrumentation, one active-probe round) and macro
-//! experiments (the Sec. IX per-stage overhead breakdown, the multi-session
-//! overload sweep) and writes a `BENCH_<label>.json` report. `check`
-//! compares two reports metric by metric and exits non-zero on a
-//! regression, which is the whole CI gate.
+//! `run` executes a fixed suite of micro cases (whole-clip detection with
+//! and without instrumentation, the pipeline stages, the DSP primitives,
+//! LOF scoring and the k-NN backends, landmarks, obs primitives, one
+//! active-probe round) and macro experiments (the Sec. IX per-stage
+//! overhead breakdown, the multi-session overload sweep) and writes a
+//! `BENCH_<label>.json` report. `check` compares two reports metric by
+//! metric and exits non-zero on a regression, which is the whole CI gate.
 //!
 //! Three metric kinds with different gating rules keep the gate honest
 //! across machines:
@@ -24,15 +25,36 @@
 //! current value must stay under regardless of the baseline — the paper's
 //! 0.2 s per-clip envelope is enforced this way.
 
-use lumen_bench::{standard_pair, trained_detector};
-use lumen_experiments::{chaos, daemon as daemon_exp, dsoak, fleet as fleet_exp, overhead, overload};
-use lumen_obs::{NullSink, Recorder};
-use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbeInjector, ProbeVerifier, VerifierConfig};
+use lumen_attack::baseline::{
+    BaselineDetector, CorrelationThresholdDetector, NaiveTimestampDetector,
+};
+use lumen_bench::{
+    attack_pair, knn_backends, probe_round, standard_features, standard_frame, standard_landmarks,
+    standard_pair, trained_detector, training_pairs,
+};
+use lumen_core::detector::Detector;
+use lumen_core::preprocess::{preprocess_rx, preprocess_tx};
+use lumen_core::voting::combine_votes;
+use lumen_core::Config;
+use lumen_dsp::filters::{biquad, fir, moving, savgol, threshold};
+use lumen_dsp::peaks::{find_peaks, PeakConfig};
+use lumen_dsp::{dtw, fft, normalize, stats, xcorr};
+use lumen_experiments::{
+    chaos, daemon as daemon_exp, dsoak, fleet as fleet_exp, overhead, overload,
+};
+use lumen_face::detect::detect_landmarks;
+use lumen_face::geometry::FaceGeometry;
+use lumen_face::render::FaceRenderer;
+use lumen_face::roi::roi_luminance;
+use lumen_obs::{InMemorySink, NullSink, Recorder};
+use lumen_probe::ChallengeSchedule;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
+use std::fmt::Display;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Report format version; bump on any incompatible schema change.
 const SCHEMA_VERSION: u64 = 1;
@@ -73,15 +95,264 @@ impl BenchReport {
     }
 }
 
-/// Mean wall-clock milliseconds per call over `iters` calls (after one
-/// warm-up call).
-fn time_ms<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+/// Shortest wall-clock span one timed batch must fill, so that a
+/// nanosecond call is timed over many calls rather than one clock read.
+const WINDOW: Duration = Duration::from_millis(1);
+
+/// Timed batches per measurement; the median batch is reported, so one
+/// preempted batch does not move the figure.
+const ROUNDS: usize = 5;
+
+/// Wall-clock milliseconds per call of `f`: after one warm-up call the
+/// batch size doubles until a batch fills [`WINDOW`], then the median of
+/// [`ROUNDS`] batches of that size is returned.
+fn time_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut batch = |calls: u32| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            black_box(f());
+        }
+        start.elapsed()
+    };
+    batch(1);
+    let mut calls = 1;
+    while batch(calls) < WINDOW {
+        calls *= 2;
     }
-    start.elapsed().as_secs_f64() * 1000.0 / f64::from(iters.max(1))
+    let mut per_call: Vec<f64> = (0..ROUNDS)
+        .map(|_| batch(calls).as_secs_f64() * 1000.0 / f64::from(calls))
+        .collect();
+    per_call.sort_by(f64::total_cmp);
+    per_call[ROUNDS / 2]
+}
+
+/// One micro case: the `micro.<name>_ms` row it fills, an absolute
+/// ceiling if any, and the measurement.
+struct Case<'a> {
+    name: &'static str,
+    budget: Option<f64>,
+    measure: Box<dyn FnMut() -> Result<f64, String> + 'a>,
+}
+
+/// A case that checks `call`'s result once, then times it with
+/// [`time_ms`]: a case whose call fails is reported, never timed.
+fn case<'a, T, E: Display>(
+    name: &'static str,
+    budget: Option<f64>,
+    mut call: impl FnMut() -> Result<T, E> + 'a,
+) -> Case<'a> {
+    Case {
+        name,
+        budget,
+        measure: Box::new(move || {
+            call().map_err(|e| format!("micro case {name}: {e}"))?;
+            Ok(time_ms(&mut call))
+        }),
+    }
+}
+
+/// Lifts a call that cannot fail into a [`case`] call.
+fn infallible<T>(mut call: impl FnMut() -> T) -> impl FnMut() -> Result<T, Infallible> {
+    move || Ok(call())
+}
+
+/// Times every micro case, in table order, into `metrics`.
+fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
+    let config = Config::default();
+    let pair = standard_pair();
+    let signal = &pair.rx;
+    let (tx75, rx75) = (&pair.tx.samples()[..75], &signal.samples()[..75]);
+    let attack = attack_pair();
+    let training = training_pairs();
+    let detector = trained_detector();
+    let features = standard_features();
+    let nulled = trained_detector().with_recorder(Recorder::new(Arc::new(NullSink)));
+    let buffer = Arc::new(InMemorySink::new());
+    let buffered = trained_detector().with_recorder(Recorder::new(buffer.clone()));
+    let naive = NaiveTimestampDetector::default();
+    let fixed = CorrelationThresholdDetector::default();
+    let [(brute20, tree20), (brute200, tree200), (brute2000, tree2000)] =
+        [20, 200, 2000].map(knn_backends);
+    let query = [0.9, 0.9, 0.8, 0.1];
+    let frame = standard_frame();
+    let landmarks = standard_landmarks();
+    let renderer = FaceRenderer::default();
+    let geom = FaceGeometry::centered(160, 120);
+    let (recorder, _events) = Recorder::in_memory();
+    let disabled = Recorder::null();
+    let probe = probe_round();
+    let clip = Some(CLIP_BUDGET_MS);
+
+    let cases = vec![
+        // Whole-clip detection: the Sec. IX "feature extraction and
+        // classification together" figure, bare and behind each sink.
+        case("detect_uninstrumented", clip, || {
+            detector.detect(black_box(&pair))
+        }),
+        case("detect_null_sink", clip, || nulled.detect(black_box(&pair))),
+        case("detect_in_memory_sink", clip, || {
+            let verdict = buffered.detect(black_box(&pair));
+            buffer.clear();
+            verdict
+        }),
+        case("detect_attack_clip", clip, || {
+            detector.detect(black_box(&attack))
+        }),
+        // Pipeline stages of one 15-second clip.
+        case("preprocess_tx_15s_clip", None, || {
+            preprocess_tx(black_box(&pair.tx), &config)
+        }),
+        case("preprocess_rx_15s_clip", None, || {
+            preprocess_rx(black_box(&pair.rx), &config)
+        }),
+        case("features_from_15s_clip", None, || {
+            Detector::features_with(black_box(&pair), &config)
+        }),
+        // DSP primitives on a 150-sample trace, including the FIR vs
+        // zero-phase IIR low-pass and full vs banded DTW ablations.
+        case("fir_lowpass_1hz", None, || {
+            fir::lowpass(black_box(signal), 1.0)
+        }),
+        case("iir_filtfilt_lowpass_1hz", None, || {
+            biquad::filtfilt_lowpass(black_box(signal), 1.0)
+        }),
+        case("moving_variance_w10", None, || {
+            moving::moving_variance(black_box(signal), 10)
+        }),
+        case("moving_rms_w30", None, || {
+            moving::moving_rms(black_box(signal), 30)
+        }),
+        case("threshold_filter", None, || {
+            threshold::threshold_filter(black_box(signal), 2.0)
+        }),
+        case("savgol_w31_p3", None, || {
+            savgol::savgol_smooth(black_box(signal), 31, 3)
+        }),
+        case(
+            "find_peaks_prominence",
+            None,
+            infallible(|| {
+                find_peaks(
+                    black_box(signal.samples()),
+                    &PeakConfig::new().min_prominence(0.5),
+                )
+            }),
+        ),
+        case("pearson_150", None, || {
+            stats::pearson(black_box(pair.tx.samples()), black_box(signal.samples()))
+        }),
+        case("dtw_75x75", None, || {
+            dtw::dtw_distance(black_box(tx75), black_box(rx75))
+        }),
+        case("dtw_banded_75x75_w10", None, || {
+            dtw::dtw_distance_banded(black_box(tx75), black_box(rx75), Some(10))
+        }),
+        case("fft_spectrum_150", None, || {
+            fft::magnitude_spectrum(black_box(signal))
+        }),
+        case("normalize_min_max", None, || {
+            normalize::normalize_min_max(black_box(signal))
+        }),
+        case("delay_estimation_xcorr", None, || {
+            xcorr::estimate_delay(black_box(&pair.tx), black_box(signal), 1.0)
+        }),
+        // Classification: LOF scoring and training, voting, the naive
+        // baselines, and the k-NN brute force vs k-d tree crossover.
+        case("lof_score_single_vector", None, || {
+            detector.score(black_box(&features))
+        }),
+        case("train_detector_20_clips", None, || {
+            Detector::train_from_traces(black_box(&training), config)
+        }),
+        case("majority_vote_d5", None, || {
+            combine_votes(black_box(&[true, false, true, true, false]), 0.7)
+        }),
+        case("baseline_naive_timestamp", None, || {
+            naive.accepts(black_box(&pair.tx), black_box(&pair.rx))
+        }),
+        case("baseline_fixed_correlation", None, || {
+            fixed.accepts(black_box(&pair.tx), black_box(&pair.rx))
+        }),
+        case("knn_brute_force_n20", None, || {
+            brute20.nearest(black_box(&query), 5, None)
+        }),
+        case("knn_kdtree_n20", None, || {
+            tree20.nearest(black_box(&query), 5, None)
+        }),
+        case("knn_brute_force_n200", None, || {
+            brute200.nearest(black_box(&query), 5, None)
+        }),
+        case("knn_kdtree_n200", None, || {
+            tree200.nearest(black_box(&query), 5, None)
+        }),
+        case("knn_brute_force_n2000", None, || {
+            brute2000.nearest(black_box(&query), 5, None)
+        }),
+        case("knn_kdtree_n2000", None, || {
+            tree2000.nearest(black_box(&query), 5, None)
+        }),
+        // Frame side: Sec. IX cites landmark detection at 300 fps on a
+        // phone.
+        case("render_face_frame_160x120", None, || {
+            renderer.render(black_box(&geom), 130.0)
+        }),
+        case("detect_landmarks_160x120", None, || {
+            detect_landmarks(black_box(&frame)).ok_or("no face found")
+        }),
+        case("roi_luminance_extraction", None, || {
+            roi_luminance(black_box(&frame), black_box(&landmarks))
+        }),
+        case(
+            "frame_mean_luminance",
+            None,
+            infallible(|| black_box(&frame).mean_luminance()),
+        ),
+        // Obs emission primitives, for sizing a custom sink.
+        case(
+            "counter_add_in_memory",
+            None,
+            infallible(|| recorder.add("bench.counter", black_box(1))),
+        ),
+        case(
+            "span_in_memory",
+            None,
+            // lint:allow(span-balance): guard creation + immediate drop is
+            // exactly the cost this case measures
+            infallible(|| recorder.span(black_box("bench.span"))),
+        ),
+        case(
+            "counter_add_disabled",
+            None,
+            infallible(|| disabled.add("bench.counter", black_box(1))),
+        ),
+        // One active-probe round: challenge synthesis plus full
+        // matched-filter verification of an armed legitimate response.
+        case("probe_schedule_generate", None, || {
+            ChallengeSchedule::generate(black_box(&probe.config), black_box(11))
+        }),
+        case(
+            "probe_waveform_synthesis",
+            None,
+            infallible(|| black_box(&probe.schedule).waveform()),
+        ),
+        case("probe_verify_round", clip, || {
+            probe
+                .verifier
+                .verify(black_box(&probe.schedule), black_box(&probe.response))
+        }),
+    ];
+    eprintln!("[lumen-bench] micro: {} cases", cases.len());
+    for mut c in cases {
+        let ms = (c.measure)()?;
+        metrics.push(metric(
+            &format!("micro.{}_ms", c.name),
+            ms,
+            "ms",
+            "timing",
+            c.budget,
+        ));
+    }
+    Ok(())
 }
 
 fn metric(name: &str, value: f64, unit: &str, kind: &str, budget: Option<f64>) -> BenchMetric {
@@ -96,37 +367,22 @@ fn metric(name: &str, value: f64, unit: &str, kind: &str, budget: Option<f64>) -
 
 /// Runs the full suite and assembles the report.
 fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
-    let iters = if quick { 3 } else { 10 };
     let mut metrics = Vec::new();
 
-    // Micro: whole-clip detection, uninstrumented vs. NullSink-recorded.
-    // The delta is reported as info — at sub-millisecond scale it is
-    // noise, and the dedicated Criterion bench (`benches/obs.rs`) is the
-    // authoritative guard.
-    eprintln!("[lumen-bench] micro: detect");
-    let pair = standard_pair();
-    let plain = trained_detector();
-    let plain_ms = time_ms(iters, || {
-        let _ = black_box(plain.detect(black_box(&pair)));
-    });
-    let nulled = trained_detector().with_recorder(Recorder::new(Arc::new(NullSink)));
-    let null_ms = time_ms(iters, || {
-        let _ = black_box(nulled.detect(black_box(&pair)));
-    });
-    metrics.push(metric(
-        "micro.detect_uninstrumented_ms",
-        plain_ms,
-        "ms",
-        "timing",
-        Some(CLIP_BUDGET_MS),
-    ));
-    metrics.push(metric(
-        "micro.detect_null_sink_ms",
-        null_ms,
-        "ms",
-        "timing",
-        Some(CLIP_BUDGET_MS),
-    ));
+    // Micro: every case times one call on fixed inputs. The NullSink
+    // delta is reported as info — at sub-millisecond scale it is mostly
+    // noise.
+    micro(&mut metrics)?;
+    let micro_ms = |name: &str| {
+        metrics
+            .iter()
+            .find(|m| m.name == format!("micro.{name}_ms"))
+            .map_or(0.0, |m| m.value)
+    };
+    let (plain_ms, null_ms) = (
+        micro_ms("detect_uninstrumented"),
+        micro_ms("detect_null_sink"),
+    );
     if plain_ms > 0.0 {
         metrics.push(metric(
             "obs.null_sink_overhead_pct",
@@ -136,46 +392,6 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
             None,
         ));
     }
-
-    // Micro: one active-probe round — challenge synthesis plus full
-    // matched-filter verification of an armed legitimate response.
-    eprintln!("[lumen-bench] micro: probe round");
-    let config = ProbeConfig::default();
-    let schedule =
-        ChallengeSchedule::generate(&config, 11).map_err(|e| format!("probe schedule: {e}"))?;
-    let injector = ProbeInjector::new(schedule.clone());
-    let probe_pair = injector
-        .armed_scenario(
-            lumen_chat::scenario::ScenarioBuilder::default()
-                .with_session(
-                    config.session_config(1.5, &lumen_chat::session::SessionConfig::default()),
-                )
-                .with_static_caller(120.0),
-        )
-        .legitimate(0, 12)
-        .map_err(|e| format!("probe scenario: {e}"))?;
-    let verifier =
-        ProbeVerifier::new(VerifierConfig::default()).map_err(|e| format!("verifier: {e}"))?;
-    let generate_ms = time_ms(iters, || {
-        let _ = black_box(ChallengeSchedule::generate(black_box(&config), 11));
-    });
-    let verify_ms = time_ms(iters, || {
-        let _ = black_box(verifier.verify(black_box(&schedule), black_box(&probe_pair)));
-    });
-    metrics.push(metric(
-        "micro.probe_schedule_generate_ms",
-        generate_ms,
-        "ms",
-        "timing",
-        None,
-    ));
-    metrics.push(metric(
-        "micro.probe_verify_round_ms",
-        verify_ms,
-        "ms",
-        "timing",
-        Some(CLIP_BUDGET_MS),
-    ));
 
     // Macro: Sec. IX per-stage breakdown from the overhead experiment.
     eprintln!("[lumen-bench] macro: overhead experiment");
@@ -609,11 +825,7 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
         lumen_lint::Config::parse(&baseline).map_err(|e| format!("parse lint.toml: {e}"))?;
     let first = lumen_lint::lint_workspace(&root, &lint_config)
         .map_err(|e| format!("lint workspace: {e}"))?;
-    let lint_ms = time_ms(iters, || {
-        let report = lumen_lint::lint_workspace(&root, &lint_config)
-            .expect("workspace scan succeeded once already");
-        black_box(report.findings.len());
-    });
+    let lint_ms = time_ms(|| lumen_lint::lint_workspace(&root, &lint_config));
     metrics.push(metric("lint.workspace_ms", lint_ms, "ms", "timing", None));
     metrics.push(metric(
         "lint.findings",
@@ -761,7 +973,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     for m in &report.metrics {
-        println!("{:40} {:>12.4} {}", m.name, m.value, m.unit);
+        println!("{:40} {:>14.6} {}", m.name, m.value, m.unit);
     }
     eprintln!("[lumen-bench] wrote {out}");
     ExitCode::SUCCESS

@@ -1,21 +1,29 @@
-//! Shared fixtures for the Criterion benchmark harness.
+//! Shared fixtures for the `lumen-bench` timing harness.
 //!
 //! Sec. IX of the paper argues the defense fits resource-limited devices:
 //! landmark detection runs at hundreds of fps, and "feature extraction and
 //! classification can be quickly processed together within 0.2 seconds for
-//! a luminance signal extracted from a 15-second facial video". The benches
-//! in `benches/` regenerate those numbers on this implementation.
+//! a luminance signal extracted from a 15-second facial video". The
+//! `micro.*` rows of `lumen-bench run` regenerate those numbers on this
+//! implementation from the fixtures below.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use lumen_chat::scenario::ScenarioBuilder;
+use lumen_chat::session::SessionConfig;
 use lumen_chat::trace::TracePair;
 use lumen_core::detector::Detector;
+use lumen_core::features::FeatureVector;
 use lumen_core::Config;
+use lumen_face::detect::detect_landmarks;
 use lumen_face::geometry::FaceGeometry;
+use lumen_face::landmarks::LandmarkSet;
 use lumen_face::render::FaceRenderer;
+use lumen_lof::kdtree::KdTree;
+use lumen_lof::knn::KnnIndex;
+use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbeInjector, ProbeVerifier, VerifierConfig};
 use lumen_video::frame::Frame;
 
 /// A deterministic 15-second legitimate trace pair (10 Hz).
@@ -45,11 +53,76 @@ pub fn trained_detector() -> Detector {
     Detector::train_from_traces(&training_pairs(), Config::default()).expect("training succeeds")
 }
 
+/// The feature vector of [`standard_pair`] under paper defaults.
+pub fn standard_features() -> FeatureVector {
+    Detector::features_with(&standard_pair(), &Config::default()).expect("features extract")
+}
+
 /// A rendered face frame (160×120) for landmark benchmarks.
 pub fn standard_frame() -> Frame {
     FaceRenderer::default()
         .render(&FaceGeometry::centered(160, 120), 130.0)
         .expect("render succeeds")
+}
+
+/// The landmarks of [`standard_frame`].
+pub fn standard_landmarks() -> LandmarkSet {
+    detect_landmarks(&standard_frame()).expect("face visible")
+}
+
+/// Both k-NN backends over the same `n` deterministic points in the 4-D
+/// feature space, for the crossover: brute force wins at the paper's
+/// 20-instance scale, the k-d tree on large organizational training pools.
+pub fn knn_backends(n: usize) -> (KnnIndex, KdTree) {
+    let points: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let t = i as f64;
+            vec![
+                (t * 0.37).sin().abs(),
+                (t * 0.73).cos().abs(),
+                (t * 0.11).sin() * 0.5 + 0.5,
+                (t * 0.053).fract(),
+            ]
+        })
+        .collect();
+    (
+        KnnIndex::new(points.clone()).expect("k-NN index builds"),
+        KdTree::new(points).expect("k-d tree builds"),
+    )
+}
+
+/// One active-probe round: a challenge, the armed legitimate response to
+/// it and the verifier that judges the response.
+pub struct ProbeRound {
+    /// The probe configuration the challenge was drawn under.
+    pub config: ProbeConfig,
+    /// The challenge (seed 11).
+    pub schedule: ChallengeSchedule,
+    /// A legitimate caller's response to [`ProbeRound::schedule`].
+    pub response: TracePair,
+    /// A verifier with default settings.
+    pub verifier: ProbeVerifier,
+}
+
+/// The standard [`ProbeRound`].
+pub fn probe_round() -> ProbeRound {
+    let config = ProbeConfig::default();
+    let schedule = ChallengeSchedule::generate(&config, 11).expect("probe schedule");
+    let response = ProbeInjector::new(schedule.clone())
+        .armed_scenario(
+            ScenarioBuilder::default()
+                .with_session(config.session_config(1.5, &SessionConfig::default()))
+                .with_static_caller(120.0),
+        )
+        .legitimate(0, 12)
+        .expect("probe scenario");
+    let verifier = ProbeVerifier::new(VerifierConfig::default()).expect("verifier");
+    ProbeRound {
+        config,
+        schedule,
+        response,
+        verifier,
+    }
 }
 
 #[cfg(test)]
@@ -64,5 +137,13 @@ mod tests {
         let det = trained_detector();
         assert!(det.detect(&standard_pair()).unwrap().score > 0.0);
         assert_eq!(standard_frame().width(), 160);
+        assert!(det.score(&standard_features()).is_ok());
+        standard_landmarks();
+        knn_backends(200);
+        let probe = probe_round();
+        assert!(probe
+            .verifier
+            .verify(&probe.schedule, &probe.response)
+            .is_ok());
     }
 }

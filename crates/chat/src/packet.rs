@@ -2,10 +2,8 @@
 //!
 //! The simulator transports one packet per sampled frame. The payload is a
 //! compact binary encoding (sequence number, capture timestamp, frame
-//! luminance) — enough for the luminance pipeline while exercising a real
-//! encode/decode round trip over [`bytes`].
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! luminance) in big-endian byte order — enough for the luminance
+//! pipeline while exercising a real encode/decode round trip.
 
 /// Byte length of an encoded packet.
 pub const WIRE_LEN: usize = 8 + 8 + 8;
@@ -32,25 +30,23 @@ impl FramePacket {
     }
 
     /// Encodes the packet to its wire form.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(WIRE_LEN);
-        buf.put_u64(self.seq);
-        buf.put_f64(self.capture_ts);
-        buf.put_f64(self.luma);
-        buf.freeze()
+    pub fn encode(&self) -> [u8; WIRE_LEN] {
+        let mut wire = [0u8; WIRE_LEN];
+        wire[..8].copy_from_slice(&self.seq.to_be_bytes());
+        wire[8..16].copy_from_slice(&self.capture_ts.to_be_bytes());
+        wire[16..].copy_from_slice(&self.luma.to_be_bytes());
+        wire
     }
 
-    /// Decodes a packet from its wire form.
+    /// Decodes a packet from the first [`WIRE_LEN`] bytes of `wire`.
     ///
     /// Returns `None` when the buffer is too short or carries non-finite
     /// fields.
-    pub fn decode(mut wire: Bytes) -> Option<Self> {
-        if wire.len() < WIRE_LEN {
-            return None;
-        }
-        let seq = wire.get_u64();
-        let capture_ts = wire.get_f64();
-        let luma = wire.get_f64();
+    pub fn decode(wire: &[u8]) -> Option<Self> {
+        let field = |i: usize| -> Option<[u8; 8]> { wire.get(8 * i..8 * i + 8)?.try_into().ok() };
+        let seq = u64::from_be_bytes(field(0)?);
+        let capture_ts = f64::from_be_bytes(field(1)?);
+        let luma = f64::from_be_bytes(field(2)?);
         if !capture_ts.is_finite() || !luma.is_finite() {
             return None;
         }
@@ -69,19 +65,27 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let p = FramePacket::new(42, 1.25, 117.5);
-        let decoded = FramePacket::decode(p.encode()).unwrap();
+        let decoded = FramePacket::decode(&p.encode()).unwrap();
         assert_eq!(p, decoded);
     }
 
     #[test]
     fn decode_rejects_short_buffer() {
-        assert!(FramePacket::decode(Bytes::from_static(&[0u8; 8])).is_none());
+        assert!(FramePacket::decode(&[0u8; 8]).is_none());
     }
 
     #[test]
     fn decode_rejects_non_finite() {
         let p = FramePacket::new(1, f64::NAN, 10.0);
-        assert!(FramePacket::decode(p.encode()).is_none());
+        assert!(FramePacket::decode(&p.encode()).is_none());
+    }
+
+    #[test]
+    fn wire_layout_is_big_endian() {
+        let wire = FramePacket::new(0x0102, 0.5, -2.0).encode();
+        assert_eq!(wire[..8], [0, 0, 0, 0, 0, 0, 1, 2]);
+        assert_eq!(wire[8..16], [0x3F, 0xE0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(wire[16..], [0xC0, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests for the transport simulator.
 
-use bytes::Bytes;
 use lumen_chat::channel::{ChannelConfig, NetworkChannel};
 use lumen_chat::packet::FramePacket;
 use lumen_chat::scenario::ScenarioBuilder;
@@ -10,12 +9,12 @@ proptest! {
     #[test]
     fn packet_roundtrip(seq in any::<u64>(), ts in 0.0f64..1e6, luma in 0.0f64..255.0) {
         let p = FramePacket::new(seq, ts, luma);
-        prop_assert_eq!(FramePacket::decode(p.encode()), Some(p));
+        prop_assert_eq!(FramePacket::decode(&p.encode()), Some(p));
     }
 
     #[test]
     fn decode_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let _ = FramePacket::decode(Bytes::from(bytes));
+        let _ = FramePacket::decode(&bytes);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use lumen_obs::{FlightConfig, FlightSink, Recorder, Sink};
 use lumen_probe::{ProbeDirector, ProbePolicy};
 use lumen_serve::{
     AdmitOutcome, BreakerTransition, CheckpointStore, CommitOutcome, MemStorage, RestoreReport,
-    ServeConfig, ServeStats, SessionEventKind, Storage, Supervisor,
+    ServeConfig, ServeStats, SessionEventKind, ShardBreakdown, Storage, Supervisor,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -349,7 +349,7 @@ impl<S: Storage> Daemon<S> {
             None => Value::Object(Vec::new()),
         };
         let shards = Value::Array(vec![
-            lumen_fleet::ShardBreakdown::from_supervisor(0, &self.sup).serialize(),
+            ShardBreakdown::from_supervisor(0, &self.sup).serialize()
         ]);
         let reply = Value::Object(vec![
             ("metrics".to_string(), metrics),

@@ -193,8 +193,7 @@ fn admission_samples_and_verdicts_flow_end_to_end() {
         })
         .expect("a metrics frame");
     let metrics = String::from_utf8(metrics).expect("metrics endpoint emits UTF-8");
-    let reply: serde::Value =
-        serde_json::from_str(&metrics).expect("metrics endpoint emits JSON");
+    let reply: serde::Value = serde_json::from_str(&metrics).expect("metrics endpoint emits JSON");
     let serde::Value::Object(fields) = &reply else {
         panic!("metrics reply is not an object");
     };
@@ -216,7 +215,7 @@ fn admission_samples_and_verdicts_flow_end_to_end() {
         panic!("shards field is not an array");
     };
     assert_eq!(rows.len(), 1, "a single daemon reports exactly one shard");
-    let shard = <lumen_fleet::ShardBreakdown as serde::Deserialize>::deserialize(&rows[0])
+    let shard = <lumen_serve::ShardBreakdown as serde::Deserialize>::deserialize(&rows[0])
         .expect("shard rows parse as breakdowns");
     assert_eq!(shard.shard, 0);
     assert!(shard.served > 0, "shard breakdown carries serve counts");

@@ -7,7 +7,6 @@
 //! ```
 
 use lumen_experiments::*;
-use serde::Serialize;
 use std::process::ExitCode;
 
 const IDS: &[(&str, &str)] = &[
@@ -128,115 +127,13 @@ fn run_one(id: &str, json: bool) -> ExpResult<String> {
         "chaos" => emit!(chaos::run(chaos::ChaosOpts::default())?),
         "daemon" => emit!(daemon::run(daemon::DaemonOpts::default())?),
         "dsoak" => emit!(dsoak::run(dsoak::DsoakOpts::default())?),
-        "fleet" => {
-            let started = std::time::Instant::now();
-            let r = fleet::run(fleet::FleetOpts::default())?;
-            let elapsed = started.elapsed().as_secs_f64();
-            write_fleet_bench(&r, elapsed)?;
-            emit!(r)
-        }
+        "fleet" => emit!(fleet::run(fleet::FleetOpts::default())?),
         "roc" => emit!(roc_analysis::run(roc_analysis::RocOpts::default())?),
         "cliplen" => emit!(clip_length::run(clip_length::ClipLengthOpts::default())?),
         "occlusion" => emit!(occlusion::run(occlusion::OcclusionOpts::default())?),
         "overhead" => emit!(overhead::run(overhead::OverheadOpts::default())?),
         other => Err(format!("unknown experiment id `{other}` (try `list`)").into()),
     }
-}
-
-/// A `lumen-bench`-schema metric row for `BENCH_fleet.json`.
-#[derive(Serialize)]
-struct FleetBenchMetric {
-    name: String,
-    value: f64,
-    unit: String,
-    kind: String,
-    budget: Option<f64>,
-}
-
-/// A `lumen-bench`-schema report wrapper for `BENCH_fleet.json`.
-#[derive(Serialize)]
-struct FleetBenchReport {
-    schema_version: u64,
-    label: String,
-    metrics: Vec<FleetBenchMetric>,
-}
-
-/// Writes `BENCH_fleet.json`: the fleet sweep's gate rows in the
-/// `lumen-bench` report schema, so the perf gate can consume the sweep
-/// directly (`lumen-bench check --baseline BENCH_fleet.json --current ...`).
-fn write_fleet_bench(r: &fleet::FleetResult, elapsed_s: f64) -> ExpResult<()> {
-    let metric = |name: &str, value: f64, unit: &str, kind: &str| FleetBenchMetric {
-        name: name.to_string(),
-        value,
-        unit: unit.to_string(),
-        kind: kind.to_string(),
-        budget: None,
-    };
-    let flag = |b: bool| f64::from(u8::from(b));
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let swept: u64 = r.rows.iter().map(|row| row.offered).sum();
-    let sessions_per_core = swept as f64 / elapsed_s.max(1e-9) / cores as f64;
-    let worst = r.rows.last();
-    let mut metrics = vec![metric(
-        "fleet.sessions_per_core",
-        sessions_per_core,
-        "sessions/s",
-        "timing",
-    )];
-    if let Some(worst) = worst {
-        metrics.push(metric(
-            "fleet.p99_latency_ticks",
-            worst.p99_latency_ticks,
-            "ticks",
-            "exact",
-        ));
-        metrics.push(metric(
-            "fleet.shed_fraction",
-            worst.shed_fraction,
-            "fraction",
-            "exact",
-        ));
-    }
-    metrics.push(metric(
-        "fleet.steals",
-        r.rows.iter().map(|row| row.steals).sum::<u64>() as f64,
-        "count",
-        "exact",
-    ));
-    metrics.push(metric(
-        "fleet.accounting_ok",
-        flag(r.rows.iter().all(|row| row.accounting_ok)),
-        "bool",
-        "exact",
-    ));
-    metrics.push(metric("fleet.parity_ok", flag(r.parity_ok), "bool", "exact"));
-    metrics.push(metric(
-        "fleet.threaded_ok",
-        flag(r.threaded_ok),
-        "bool",
-        "exact",
-    ));
-    metrics.push(metric(
-        "fleet.snapshot_ok",
-        flag(r.snapshot_ok),
-        "bool",
-        "exact",
-    ));
-    metrics.push(metric(
-        "fleet.conservation_ok",
-        flag(r.conservation_ok),
-        "bool",
-        "exact",
-    ));
-    let report = FleetBenchReport {
-        schema_version: 1,
-        label: "fleet".to_string(),
-        metrics,
-    };
-    let json = serde_json::to_string_pretty(&report)?;
-    std::fs::write("BENCH_fleet.json", json + "\n")?;
-    eprintln!("[lumen-experiments] wrote BENCH_fleet.json");
-    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -24,9 +24,8 @@
 //!   checkpoint store restores shard-by-shard and replays the remainder
 //!   byte-identically.
 //!
-//! The `lumen-experiments fleet` invocation additionally writes
-//! `BENCH_fleet.json` (a `lumen-bench`-schema report) so the perf gate
-//! can consume the sweep's exact rows directly.
+//! `lumen-bench` gates the sweep's `fleet.*` rows against
+//! `BENCH_baseline.json`.
 
 use crate::runner::{pct, render_table};
 use crate::ExpResult;
@@ -36,7 +35,9 @@ use lumen_core::detector::Detector;
 use lumen_core::stream::StreamingDetector;
 use lumen_core::Config;
 use lumen_dsp::stats::quantile;
-use lumen_fleet::{AdmissionConfig, Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent, FleetSnapshot};
+use lumen_fleet::{
+    AdmissionConfig, Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent, FleetSnapshot,
+};
 use lumen_obs::Recorder;
 use lumen_serve::{CheckpointStore, MemStorage, ServeConfig, SessionEventKind, StoreConfig};
 use serde::{Deserialize, Serialize};
@@ -319,7 +320,9 @@ fn drive_point(
     count: usize,
     recorder: &Recorder,
 ) -> ExpResult<PointOutput> {
-    let wave = (count / opts.wave_divisor.max(1)).max(opts.min_wave).min(count.max(1));
+    let wave = (count / opts.wave_divisor.max(1))
+        .max(opts.min_wave)
+        .min(count.max(1));
     let mut fleet = Fleet::new(sweep_config(opts, wave))?.with_recorder(recorder.clone());
     let mut conservation_ok = true;
     let mut throttled = 0u64;
@@ -630,8 +633,7 @@ fn snapshot_check(opts: &FleetOpts, harness: &Harness) -> ExpResult<(bool, bool)
         }
     }
     let tail_restored = restored.drain_events();
-    let snapshot_ok =
-        tail_restored == tail_original && restored.shard_stats() == stats_original;
+    let snapshot_ok = tail_restored == tail_original && restored.shard_stats() == stats_original;
     Ok((snapshot_ok, conservation_ok))
 }
 

@@ -9,10 +9,10 @@ use lumen_core::features::FeatureVector;
 use lumen_core::metrics::Confusion;
 use lumen_core::Config;
 use lumen_obs::{Recorder, Registry};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maps `f` over `items` on scoped worker threads with dynamic load
-/// balancing (a crossbeam work queue), preserving input order in the
-/// output.
+/// balancing, preserving input order in the output.
 ///
 /// # Errors
 ///
@@ -23,57 +23,16 @@ where
     R: Send,
     F: Fn(&T) -> ExpResult<R> + Sync,
 {
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(items.len());
-    let (task_tx, task_rx) = crossbeam::channel::unbounded::<(usize, &T)>();
-    for task in items.iter().enumerate() {
-        // lint:allow(no-panic): task_rx lives until the scope below
-        // joins, so the channel cannot be closed yet
-        task_tx.send(task).expect("queue is open");
-    }
-    drop(task_tx);
-
-    let mut slots: Vec<Option<ExpResult<R>>> = (0..items.len()).map(|_| None).collect();
-    let done: Vec<(usize, ExpResult<R>)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                while let Ok((idx, item)) = task_rx.recv() {
-                    out.push((idx, f(item)));
-                }
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            // lint:allow(no-panic): a worker panic is unrecoverable;
-            // re-raising it on join is the scoped-thread contract
-            .flat_map(|h| h.join().expect("experiment worker panicked"))
-            .collect()
-    });
-    for (idx, r) in done {
-        slots[idx] = Some(r);
-    }
-    slots
-        .into_iter()
-        // lint:allow(no-panic): every index was queued exactly once and
-        // each drained task writes back its own slot
-        .map(|s| s.expect("every task completed"))
-        .collect()
+    parallel_map_instrumented(items, |item, _| f(item)).map(|(results, _)| results)
 }
 
 /// [`parallel_map`] with per-worker observability: every worker thread owns
 /// a private in-memory [`Recorder`] handed to each `f` invocation, and the
 /// per-worker registries are merged into one aggregate after the scope
 /// joins — counters sum, span/value histograms pool their observations.
+///
+/// Workers claim the next unclaimed index from a shared counter, so a slow
+/// item never holds up the rest of the queue.
 ///
 /// # Errors
 ///
@@ -85,38 +44,28 @@ where
     R: Send,
     F: Fn(&T, &Recorder) -> ExpResult<R> + Sync,
 {
-    if items.is_empty() {
-        return Ok((Vec::new(), Registry::new()));
-    }
     let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+        .map_or(4, |n| n.get())
         .min(items.len());
-    let (task_tx, task_rx) = crossbeam::channel::unbounded::<(usize, &T)>();
-    for task in items.iter().enumerate() {
-        // lint:allow(no-panic): task_rx lives until the scope below
-        // joins, so the channel cannot be closed yet
-        task_tx.send(task).expect("queue is open");
-    }
-    drop(task_tx);
-
+    let next = AtomicUsize::new(0);
     type WorkerOutput<R> = (Vec<(usize, ExpResult<R>)>, Registry);
-    let mut slots: Vec<Option<ExpResult<R>>> = (0..items.len()).map(|_| None).collect();
-    let mut registry = Registry::new();
     let done: Vec<WorkerOutput<R>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let (recorder, sink) = Recorder::in_memory();
-                let mut out = Vec::new();
-                while let Ok((idx, item)) = task_rx.recv() {
-                    out.push((idx, f(item, &recorder)));
-                }
-                (out, sink.registry())
-            }));
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (recorder, sink) = Recorder::in_memory();
+                    let mut out = Vec::new();
+                    loop {
+                        // Relaxed: the index publishes no data; items are
+                        // shared read-only and results return through join.
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(idx) else { break };
+                        out.push((idx, f(item, &recorder)));
+                    }
+                    (out, sink.registry())
+                })
+            })
+            .collect();
         handles
             .into_iter()
             // lint:allow(no-panic): a worker panic is unrecoverable;
@@ -124,6 +73,8 @@ where
             .map(|h| h.join().expect("experiment worker panicked"))
             .collect()
     });
+    let mut slots: Vec<Option<ExpResult<R>>> = (0..items.len()).map(|_| None).collect();
+    let mut registry = Registry::new();
     for (chunk, worker_registry) in done {
         registry.merge(&worker_registry);
         for (idx, r) in chunk {
@@ -132,8 +83,8 @@ where
     }
     let results = slots
         .into_iter()
-        // lint:allow(no-panic): every index was queued exactly once and
-        // each drained task writes back its own slot
+        // lint:allow(no-panic): every index is claimed exactly once and
+        // each claimed item writes back its own slot
         .map(|s| s.expect("every task completed"))
         .collect::<ExpResult<Vec<R>>>()?;
     Ok((results, registry))

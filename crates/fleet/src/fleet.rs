@@ -34,15 +34,14 @@ use crate::snapshot::{FleetManifest, FleetRestoreReport, FleetSnapshot};
 use crate::{FleetError, Result};
 use lumen_chat::trace::TracePair;
 use lumen_core::stream::StreamingDetector;
-use lumen_obs::{stage, InMemorySink, Recorder, Registry};
+use lumen_obs::{stage, Recorder};
 use lumen_probe::{ProbeDirector, ProbeVerdict};
 use lumen_serve::store::Storage;
 use lumen_serve::{
-    AdmitOutcome, CheckpointStore, ClipAdmission, CommitOutcome, ServeError, ServeStats,
-    SessionEventKind, ShedReason, Supervisor,
+    AdmitOutcome, CheckpointStore, ClipAdmission, ServeError, ServeStats, SessionEventKind,
+    ShedReason, Supervisor,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Outcome of [`Fleet::admit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,55 +121,12 @@ impl ConservationLedger {
     }
 }
 
-/// One shard's live state, flattened for reporting (the daemon's
-/// `metrics_json` reply embeds one of these per shard).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardBreakdown {
-    /// Shard index.
-    pub shard: u64,
-    /// Admitted sessions.
-    pub sessions: u64,
-    /// Queue entries pending (clips and tombstones).
-    pub queue_depth: u64,
-    /// Servable clips queued (tombstones excluded).
-    pub backlog: u64,
-    /// Unspent serve credits of the current budget period.
-    pub credits: u64,
-    /// Clips offered so far.
-    pub offered: u64,
-    /// Clips served so far.
-    pub served: u64,
-    /// Clips shed so far.
-    pub shed: u64,
-    /// Sessions refused at admission.
-    pub rejected_sessions: u64,
-}
-
-impl ShardBreakdown {
-    /// Reads one supervisor's live counters into a breakdown row.
-    pub fn from_supervisor(shard: usize, sup: &Supervisor) -> Self {
-        let stats = sup.stats();
-        ShardBreakdown {
-            shard: shard as u64,
-            sessions: sup.sessions() as u64,
-            queue_depth: sup.pending_clips() as u64,
-            backlog: sup.backlog_clips() as u64,
-            credits: sup.credits(),
-            offered: stats.offered_clips,
-            served: stats.served_clips,
-            shed: stats.shed_clips,
-            rejected_sessions: stats.rejected_sessions,
-        }
-    }
-}
-
 /// A sharded multi-supervisor runtime.
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
     partitioner: Partitioner,
     shards: Vec<Supervisor>,
-    shard_sinks: Option<Vec<Arc<InMemorySink>>>,
     recorder: Recorder,
     bucket: AdmissionBucket,
     stats: FleetStats,
@@ -195,7 +151,6 @@ impl Fleet {
             config,
             partitioner,
             shards,
-            shard_sinks: None,
             recorder: Recorder::null(),
             bucket,
             stats: FleetStats::default(),
@@ -204,33 +159,10 @@ impl Fleet {
 
     /// Attaches a fleet-tier observability recorder (admission counters,
     /// per-shard queue-depth gauges, steal marks). Shard-internal events
-    /// stay on the shards' own recorders — see [`Fleet::with_shard_obs`].
+    /// stay on the shards' own recorders.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Gives every shard its own in-memory recorder so
-    /// [`Fleet::merged_registry`] can collapse them into one exact
-    /// fleet-wide registry through the histogram merge path.
-    ///
-    /// Off by default: in-memory sinks buffer every event, which is the
-    /// right trade for tests and short runs but not for a 100k-session
-    /// sweep.
-    #[must_use]
-    pub fn with_shard_obs(mut self) -> Self {
-        let mut sinks = Vec::with_capacity(self.shards.len());
-        self.shards = self
-            .shards
-            .drain(..)
-            .map(|shard| {
-                let (recorder, sink) = Recorder::in_memory();
-                sinks.push(sink);
-                shard.with_recorder(recorder)
-            })
-            .collect();
-        self.shard_sinks = Some(sinks);
         self
     }
 
@@ -544,15 +476,6 @@ impl Fleet {
         }
     }
 
-    /// One [`ShardBreakdown`] row per shard, in shard order.
-    pub fn shard_breakdowns(&self) -> Vec<ShardBreakdown> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| ShardBreakdown::from_supervisor(index, shard))
-            .collect()
-    }
-
     /// Drains every shard's pending events, re-scoped to fleet session
     /// ids, in shard order (deterministic).
     pub fn drain_events(&mut self) -> Vec<FleetEvent> {
@@ -568,15 +491,6 @@ impl Fleet {
             }
         }
         out
-    }
-
-    /// Collapses the per-shard registries into one exact fleet-wide
-    /// registry (counters and histogram buckets add exactly). `None`
-    /// unless the fleet was built [`Fleet::with_shard_obs`].
-    pub fn merged_registry(&self) -> Option<Registry> {
-        let sinks = self.shard_sinks.as_ref()?;
-        let registries: Vec<Registry> = sinks.iter().map(|s| s.registry()).collect();
-        Some(Registry::merged(registries.iter()))
     }
 
     /// Captures the whole fleet as a composable checkpoint: a manifest
@@ -648,27 +562,11 @@ impl Fleet {
             config,
             partitioner,
             shards,
-            shard_sinks: None,
             recorder: recorder.clone(),
             bucket,
             stats: snap.manifest.stats.clone(),
         };
         Ok((fleet, report))
-    }
-
-    /// Commits the current state as a fresh generation of a fleet
-    /// checkpoint store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encode failures; backend write failures arm the store's
-    /// retry and are reported in the outcome, not as errors.
-    pub fn commit_to_store<S: Storage>(
-        &self,
-        store: &mut CheckpointStore<S, FleetSnapshot>,
-        now: u64,
-    ) -> Result<CommitOutcome> {
-        store.commit(now, &self.snapshot()).map_err(FleetError::from)
     }
 
     /// Restores from the newest *valid* generation of a fleet checkpoint

@@ -23,9 +23,6 @@
 //!   per-shard supervisor snapshots, persisted through the existing
 //!   CRC-framed [`CheckpointStore`](lumen_serve::CheckpointStore) and
 //!   restored shard-by-shard with per-session quarantine.
-//! * **Exact fleet metrics** — per-shard obs registries merge through
-//!   the histogram/registry merge path ([`Fleet::merged_registry`]), so
-//!   fleet-wide latency quantiles carry no aggregation error.
 //!
 //! Shards are data-independent inside a tick: [`Fleet::tick`] steps them
 //! serially (tests, parity checks), [`Fleet::step_shards`] steps them on
@@ -47,9 +44,8 @@ pub mod snapshot;
 pub use admission::AdmissionBucket;
 pub use config::{AdmissionConfig, FleetConfig};
 pub use error::FleetError;
-pub use fleet::{
-    ConservationLedger, Fleet, FleetAdmitOutcome, FleetEvent, FleetStats, ShardBreakdown,
-};
+pub use fleet::{ConservationLedger, Fleet, FleetAdmitOutcome, FleetEvent, FleetStats};
+pub use lumen_serve::ShardBreakdown;
 pub use partition::{Partitioner, PARTITION_SUBSTREAM};
 pub use snapshot::{FleetManifest, FleetRestoreReport, FleetSnapshot};
 

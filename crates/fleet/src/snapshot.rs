@@ -72,11 +72,7 @@ impl FleetRestoreReport {
         self.shards
             .iter()
             .enumerate()
-            .flat_map(|(i, r)| {
-                r.quarantined
-                    .iter()
-                    .map(move |q| q.id * shards + i as u64)
-            })
+            .flat_map(|(i, r)| r.quarantined.iter().map(move |q| q.id * shards + i as u64))
             .collect()
     }
 }

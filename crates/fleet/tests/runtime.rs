@@ -169,13 +169,12 @@ fn verdict_events(events: &[FleetEvent]) -> Vec<&FleetEvent> {
 fn mid_clip_restore_replays_byte_identical() {
     let config = relaxed_fleet(2);
     let p = pair(4242);
-    let samples: Vec<(f64, f64)> = p
-        .tx
-        .samples()
-        .iter()
-        .zip(p.rx.samples())
-        .map(|(&tx, &rx)| (tx, rx))
-        .collect();
+    let samples: Vec<(f64, f64)> =
+        p.tx.samples()
+            .iter()
+            .zip(p.rx.samples())
+            .map(|(&tx, &rx)| (tx, rx))
+            .collect();
     let cut = samples.len() / 2 + 3; // mid-clip, not on a boundary
 
     // Reference: uninterrupted run.
@@ -253,13 +252,12 @@ fn mid_clip_restore_replays_byte_identical() {
 fn threaded_and_serial_stepping_agree() {
     let config = relaxed_fleet(3);
     let p = pair(99);
-    let samples: Vec<(f64, f64)> = p
-        .tx
-        .samples()
-        .iter()
-        .zip(p.rx.samples())
-        .map(|(&tx, &rx)| (tx, rx))
-        .collect();
+    let samples: Vec<(f64, f64)> =
+        p.tx.samples()
+            .iter()
+            .zip(p.rx.samples())
+            .map(|(&tx, &rx)| (tx, rx))
+            .collect();
 
     let run = |threaded: bool| -> (Vec<FleetEvent>, FleetSnapshot) {
         let mut fleet = Fleet::new(config.clone()).unwrap();

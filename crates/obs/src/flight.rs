@@ -20,12 +20,13 @@
 //! same seeded scenario dump byte-identical bundles.
 
 use crate::event::{Event, EventKind};
+use crate::lock;
 use crate::registry::{Registry, Snapshot};
 use crate::sink::Sink;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Sizing for a [`FlightSink`]. Both bounds are hard: the ring drops its
 /// oldest events (counted, never silent) and the post-mortem queue drops
@@ -249,7 +250,7 @@ impl FlightSink {
     /// evicting the oldest retained bundle when the queue is full.
     pub fn trigger(&self, reason: &str) {
         let tick = self.tick();
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let bundle = Postmortem {
             reason: reason.to_string(),
             tick,
@@ -264,29 +265,29 @@ impl FlightSink {
 
     /// The most recently captured post-mortem, if any.
     pub fn latest_postmortem(&self) -> Option<Postmortem> {
-        self.state.lock().postmortems.back().cloned()
+        lock(&self.state).postmortems.back().cloned()
     }
 
     /// Every retained post-mortem, oldest first.
     pub fn postmortems(&self) -> Vec<Postmortem> {
-        self.state.lock().postmortems.iter().cloned().collect()
+        lock(&self.state).postmortems.iter().cloned().collect()
     }
 
     /// Snapshot of the always-on metrics fold.
     pub fn registry_snapshot(&self) -> Snapshot {
-        self.state.lock().registry.snapshot()
+        lock(&self.state).registry.snapshot()
     }
 
     /// Ring evictions so far (history lost to the bound).
     pub fn dropped_events(&self) -> u64 {
-        self.state.lock().ring.dropped_events()
+        lock(&self.state).ring.dropped_events()
     }
 }
 
 impl Sink for FlightSink {
     fn record(&self, event: &Event) {
         let tick = self.tick();
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         // The registry folds the raw event (span durations feed the timing
         // histograms); the ring keeps only the deterministic fields.
         state.registry.absorb(event);

@@ -63,6 +63,14 @@ pub use recorder::{Recorder, SpanGuard, TraceGuard};
 pub use registry::{Histogram, Registry, Snapshot, SpanRow};
 pub use sink::{FanoutSink, InMemorySink, JsonlSink, NullSink, Sink};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking the data even if a panicking holder poisoned it:
+/// telemetry must keep flowing after an instrumented thread panics.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Canonical span names for the detection pipeline stages, so every layer
 /// and every report agrees on spelling.
 pub mod stage {

@@ -335,23 +335,6 @@ impl Registry {
         }
     }
 
-    /// Merges any number of registries into one (fold over
-    /// [`Registry::merge`]). The fleet runtime uses this to collapse
-    /// per-shard registries into one exact fleet-wide view: counters and
-    /// histogram buckets add exactly, so cross-shard totals carry no
-    /// aggregation error.
-    #[must_use]
-    pub fn merged<'a, I>(registries: I) -> Registry
-    where
-        I: IntoIterator<Item = &'a Registry>,
-    {
-        let mut out = Registry::new();
-        for r in registries {
-            out.merge(r);
-        }
-        out
-    }
-
     /// Counter level by name.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

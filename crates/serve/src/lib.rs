@@ -53,7 +53,7 @@ pub use store::{
 };
 pub use supervisor::{
     AdmitOutcome, ClipAdmission, QuarantinedSession, RestoreReport, ServeConfig, ServeStats,
-    SessionEvent, SessionEventKind, ShedReason, Supervisor,
+    SessionEvent, SessionEventKind, ShardBreakdown, ShedReason, Supervisor,
 };
 
 /// Crate-wide result alias.

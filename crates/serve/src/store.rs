@@ -30,6 +30,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use crate::checkpoint::SupervisorSnapshot;
+use lumen_dsp::mix::{splitmix, unit};
 use lumen_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
@@ -362,20 +363,22 @@ impl Storage for MemStorage {
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.writes += 1;
         let ordinal = self.writes;
-        if unit(fault_mix(self.seed, ordinal, 0)) < self.faults.write_fail {
+        // Tag 0 keeps the fault stream that the chaos rows and
+        // `seeded_fault_stream_is_pinned` depend on.
+        if unit(splitmix(self.seed, 0, ordinal, 0)) < self.faults.write_fail {
             return Err(StoreError::Io(format!(
                 "injected write failure (write #{ordinal})"
             )));
         }
-        let silent = unit(fault_mix(self.seed, ordinal, 1));
+        let silent = unit(splitmix(self.seed, 0, ordinal, 1));
         let mut stored = bytes.to_vec();
         if silent < self.faults.torn_write {
             // Torn write: keep a strict prefix, never the whole record.
-            let cut = (fault_mix(self.seed, ordinal, 2) as usize) % stored.len().max(1);
+            let cut = (splitmix(self.seed, 0, ordinal, 2) as usize) % stored.len().max(1);
             stored.truncate(cut);
             self.sabotaged.push(name.to_string());
         } else if silent < self.faults.torn_write + self.faults.bit_flip && !stored.is_empty() {
-            let bit = (fault_mix(self.seed, ordinal, 3) as usize) % (stored.len() * 8);
+            let bit = (splitmix(self.seed, 0, ordinal, 3) as usize) % (stored.len() * 8);
             stored[bit / 8] ^= 1 << (bit % 8);
             self.sabotaged.push(name.to_string());
         }
@@ -399,21 +402,6 @@ impl Storage for MemStorage {
             .map(|_| ())
             .ok_or_else(|| StoreError::Io(format!("no such entry `{name}`")))
     }
-}
-
-/// Splitmix-style mix of the fault seed, write ordinal and draw index.
-fn fault_mix(seed: u64, ordinal: u64, draw: u64) -> u64 {
-    let mut z = seed
-        ^ ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ draw.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to the unit interval.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 const CRC32_TABLE: [u32; 256] = crc32_table();
@@ -1225,6 +1213,43 @@ mod tests {
         assert_ne!(run(7), run(8), "different seed, different faults");
         let (_, sabotaged) = run(7);
         assert!(!sabotaged.is_empty(), "some writes were silently damaged");
+    }
+
+    #[test]
+    fn seeded_fault_stream_is_pinned() {
+        // The chaos experiment's checked-in rows depend on exactly which
+        // writes fail, tear or flip, and where: pin the stream itself.
+        let faults = StorageFaults {
+            write_fail: 0.2,
+            torn_write: 0.2,
+            bit_flip: 0.2,
+        };
+        let mut s = MemStorage::with_faults(0x5EED_CAFE, faults).unwrap();
+        let record: Vec<u8> = (0..40).collect();
+        let outcomes: Vec<String> = (0..32)
+            .map(|i| {
+                let name = format!("e{i}");
+                if s.write(&name, &record).is_err() {
+                    return "fail".to_string();
+                }
+                let stored = s.read(&name).unwrap();
+                if stored.len() < record.len() {
+                    return format!("tear@{}", stored.len());
+                }
+                match stored.iter().zip(&record).position(|(a, b)| a != b) {
+                    Some(at) => format!(
+                        "flip@{}",
+                        at * 8 + (stored[at] ^ record[at]).trailing_zeros() as usize
+                    ),
+                    None => "ok".to_string(),
+                }
+            })
+            .collect();
+        assert_eq!(
+            outcomes.join(" "),
+            "fail ok ok ok fail ok flip@133 flip@74 flip@21 tear@7 ok ok ok tear@13 flip@89 \
+             tear@31 fail flip@46 fail fail tear@39 ok fail ok ok flip@305 fail fail ok ok ok ok"
+        );
     }
 
     #[test]

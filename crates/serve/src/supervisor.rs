@@ -29,7 +29,7 @@ use crate::{BreakerConfig, Result, ServeError};
 use lumen_chat::clock::SimClock;
 use lumen_chat::trace::TracePair;
 use lumen_core::stream::{ClipVerdict, StreamingDetector};
-use lumen_obs::{stage, FanoutSink, FlightConfig, FlightSink, Recorder, Sink, Snapshot};
+use lumen_obs::{stage, FlightConfig, FlightSink, Recorder, Snapshot};
 use lumen_probe::{ChallengeSchedule, ProbeDirector, ProbeVerdict};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -279,6 +279,49 @@ impl ServeStats {
     }
 }
 
+/// One supervisor's live state as one shard of a deployment, flattened
+/// for reporting (the daemon's `metrics_json` reply embeds one of these
+/// per shard).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ShardBreakdown {
+    /// Shard index.
+    pub shard: u64,
+    /// Admitted sessions.
+    pub sessions: u64,
+    /// Queue entries pending (clips and tombstones).
+    pub queue_depth: u64,
+    /// Servable clips queued (tombstones excluded).
+    pub backlog: u64,
+    /// Unspent serve credits of the current budget period.
+    pub credits: u64,
+    /// Clips offered so far.
+    pub offered: u64,
+    /// Clips served so far.
+    pub served: u64,
+    /// Clips shed so far.
+    pub shed: u64,
+    /// Sessions refused at admission.
+    pub rejected_sessions: u64,
+}
+
+impl ShardBreakdown {
+    /// Reads one supervisor's live counters into a breakdown row.
+    pub fn from_supervisor(shard: usize, sup: &Supervisor) -> Self {
+        let stats = sup.stats();
+        ShardBreakdown {
+            shard: shard as u64,
+            sessions: sup.sessions() as u64,
+            queue_depth: sup.pending_clips() as u64,
+            backlog: sup.backlog_clips() as u64,
+            credits: sup.credits(),
+            offered: stats.offered_clips,
+            served: stats.served_clips,
+            shed: stats.shed_clips,
+            rejected_sessions: stats.rejected_sessions,
+        }
+    }
+}
+
 /// One entry of a session's pending-clip queue. Tombstones hold the
 /// verdict-stream position of a clip whose shedding was decided at
 /// completion time; they cost no detection budget.
@@ -401,22 +444,10 @@ impl Supervisor {
     /// [`Supervisor::dump_flight_record`] become live, and anomaly
     /// triggers (breaker trip, shed burst, watchdog retrigger, suspicious
     /// probe verdicts) freeze post-mortem bundles automatically.
-    pub fn with_flight(self, config: FlightConfig) -> Self {
-        self.with_flight_tee(config, None)
-    }
-
-    /// [`Supervisor::with_flight`] with the event stream additionally
-    /// duplicated into `extra` (e.g. a JSONL capture file) via a fanout.
-    pub fn with_flight_tee(mut self, config: FlightConfig, extra: Option<Arc<dyn Sink>>) -> Self {
+    pub fn with_flight(mut self, config: FlightConfig) -> Self {
         let flight = Arc::new(FlightSink::new(config));
         flight.set_tick(self.clock.tick());
-        self.recorder = match extra {
-            Some(extra) => Recorder::new(Arc::new(FanoutSink::new(vec![
-                flight.clone() as Arc<dyn Sink>,
-                extra,
-            ]))),
-            None => Recorder::new(flight.clone()),
-        };
+        self.recorder = Recorder::new(flight.clone());
         self.flight = Some(flight);
         self.propagate_recorder();
         self
