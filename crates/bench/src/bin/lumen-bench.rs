@@ -4,10 +4,11 @@
 //! `run` executes a fixed suite of micro cases (whole-clip detection with
 //! and without instrumentation, the pipeline stages, the DSP primitives,
 //! LOF scoring and the k-NN backends, landmarks, obs primitives, one
-//! active-probe round) and macro experiments (the Sec. IX per-stage
-//! overhead breakdown, the multi-session overload sweep) and writes a
-//! `BENCH_<label>.json` report. `check` compares two reports metric by
-//! metric and exits non-zero on a regression, which is the whole CI gate.
+//! active-probe round), the Sec. IX per-stage span table, and macro
+//! experiments (overload, chaos, daemon, dsoak and fleet, each run once),
+//! and writes a `BENCH_<label>.json` report. `check` compares two reports
+//! metric by metric and exits non-zero on a regression, which is the
+//! whole CI gate.
 //!
 //! Three metric kinds with different gating rules keep the gate honest
 //! across machines:
@@ -102,6 +103,10 @@ const WINDOW: Duration = Duration::from_millis(1);
 /// Timed batches per measurement; the median batch is reported, so one
 /// preempted batch does not move the figure.
 const ROUNDS: usize = 5;
+
+/// Detections behind the `stage.*` rows: enough that a stage's p99 is
+/// the 10th-slowest span, not the slowest.
+const STAGE_SPANS: usize = 1_000;
 
 /// Wall-clock milliseconds per call of `f`: after one warm-up call the
 /// batch size doubles until a batch fills [`WINDOW`], then the median of
@@ -365,8 +370,19 @@ fn metric(name: &str, value: f64, unit: &str, kind: &str, budget: Option<f64>) -
     }
 }
 
+/// An `exact` row: a deterministic seeded outcome, gated in both
+/// directions.
+fn exact(name: &str, value: f64, unit: &str) -> BenchMetric {
+    metric(name, value, unit, "exact", None)
+}
+
+/// An `exact` boolean row: 1 when the check held.
+fn flag(name: &str, ok: bool) -> BenchMetric {
+    exact(name, f64::from(u8::from(ok)), "bool")
+}
+
 /// Runs the full suite and assembles the report.
-fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
+fn run_suite(label: &str) -> Result<BenchReport, String> {
     let mut metrics = Vec::new();
 
     // Micro: every case times one call on fixed inputs. The NullSink
@@ -393,19 +409,27 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
         ));
     }
 
-    // Macro: Sec. IX per-stage breakdown from the overhead experiment.
-    eprintln!("[lumen-bench] macro: overhead experiment");
-    let opts = if quick {
-        overhead::OverheadOpts {
-            user: 0,
-            train_clips: 10,
-            detect_clips: 6,
-        }
-    } else {
-        overhead::OverheadOpts::default()
-    };
-    let oh = overhead::run(opts).map_err(|e| format!("overhead experiment: {e}"))?;
-    for row in &oh.stages {
+    // Macro: the Sec. IX per-stage breakdown — the overhead experiment's
+    // stage spans, over enough detections of the standard legitimate and
+    // attack clips that a stage's p99 is not its slowest span. They are
+    // timed on this thread: the experiment's workers fill every core, and
+    // on a 2-core host about 5 % of their spans then wait out a 4-ms
+    // scheduler slice, which would set every p99 row.
+    eprintln!("[lumen-bench] macro: per-stage spans");
+    let (recorder, sink) = Recorder::in_memory();
+    let staged = trained_detector().with_recorder(recorder);
+    let clips = [standard_pair(), attack_pair()];
+    for i in 0..STAGE_SPANS {
+        staged
+            .detect(&clips[i % 2])
+            .map_err(|e| format!("stage spans: {e}"))?;
+    }
+    let spans = sink.registry().snapshot().spans;
+    for name in overhead::STAGES {
+        let row = spans
+            .iter()
+            .find(|s| s.name == *name)
+            .ok_or(format!("stage spans: no `{name}` span"))?;
         let budget = (row.name == lumen_obs::stage::DETECT).then_some(CLIP_BUDGET_MS);
         metrics.push(metric(
             &format!("stage.{}.mean_ms", row.name),
@@ -424,54 +448,31 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
     }
 
     // Macro: overload sweep — deterministic tick-based outcomes at the
-    // heaviest swept load.
+    // heaviest swept load; integrity and accounting hold at every point.
     eprintln!("[lumen-bench] macro: overload experiment");
-    let opts = if quick {
-        overload::OverloadOpts {
-            sessions: vec![2, 5],
-            ..overload::OverloadOpts::default()
-        }
-    } else {
-        overload::OverloadOpts::default()
-    };
-    let ol = overload::run(opts).map_err(|e| format!("overload experiment: {e}"))?;
+    let ol = overload::run(overload::OverloadOpts::default())
+        .map_err(|e| format!("overload experiment: {e}"))?;
     if let Some(worst) = ol.rows.last() {
-        metrics.push(metric(
+        metrics.push(exact(
             "overload.shed_fraction",
             worst.shed_fraction,
             "fraction",
-            "exact",
-            None,
         ));
-        metrics.push(metric(
+        metrics.push(exact(
             "overload.p99_latency_ticks",
             worst.p99_latency_ticks,
             "ticks",
-            "exact",
-            None,
-        ));
-        metrics.push(metric(
-            "overload.integrity_ok",
-            f64::from(u8::from(worst.integrity_ok)),
-            "bool",
-            "exact",
-            None,
-        ));
-        metrics.push(metric(
-            "overload.accounting_ok",
-            f64::from(u8::from(worst.accounting_ok)),
-            "bool",
-            "exact",
-            None,
         ));
     }
-    metrics.push(metric(
-        "overload.checkpoint_ok",
-        f64::from(u8::from(ol.checkpoint_ok)),
-        "bool",
-        "exact",
-        None,
+    metrics.push(flag(
+        "overload.integrity_ok",
+        ol.rows.iter().all(|r| r.integrity_ok),
     ));
+    metrics.push(flag(
+        "overload.accounting_ok",
+        ol.rows.iter().all(|r| r.accounting_ok),
+    ));
+    metrics.push(flag("overload.checkpoint_ok", ol.checkpoint_ok));
 
     // Macro: chaos recovery — kill/restore cycles under seeded storage
     // faults, snapshot rot and poisoned clips. Every outcome is a
@@ -479,18 +480,8 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
     // mis-restores additionally carry a zero budget (a re-served clip
     // whose verdict changed is a correctness bug regardless of baseline).
     eprintln!("[lumen-bench] macro: chaos experiment");
-    let opts = if quick {
-        chaos::ChaosOpts {
-            sessions: 3,
-            clips: 2,
-            cycles: 2,
-            checkpoint_every_steps: 30,
-            ..chaos::ChaosOpts::default()
-        }
-    } else {
-        chaos::ChaosOpts::default()
-    };
-    let ch = chaos::run(opts).map_err(|e| format!("chaos experiment: {e}"))?;
+    let ch =
+        chaos::run(chaos::ChaosOpts::default()).map_err(|e| format!("chaos experiment: {e}"))?;
     let cycles = ch.cycles.len().max(1) as f64;
     let mean_recovery = ch
         .cycles
@@ -510,13 +501,7 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
         .map(|c| c.fallback_depth)
         .max()
         .unwrap_or(0);
-    metrics.push(metric(
-        "chaos.integrity_ok",
-        f64::from(u8::from(ch.integrity_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
+    metrics.push(flag("chaos.integrity_ok", ch.integrity_ok));
     metrics.push(metric(
         "chaos.misrestores",
         ch.misrestores as f64,
@@ -524,54 +509,28 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
         "exact",
         Some(0.0),
     ));
-    metrics.push(metric(
-        "chaos.cold_starts",
-        ch.cold_starts as f64,
-        "count",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
+    metrics.push(exact("chaos.cold_starts", ch.cold_starts as f64, "count"));
+    metrics.push(exact(
         "chaos.quarantine_fraction",
         ch.quarantine_fraction,
         "fraction",
-        "exact",
-        None,
     ));
-    metrics.push(metric(
+    metrics.push(exact(
         "chaos.max_fallback_depth",
         max_fallback as f64,
         "count",
-        "exact",
-        None,
     ));
-    metrics.push(metric(
-        "chaos.mean_recovery_ticks",
-        mean_recovery,
-        "ticks",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "chaos.mean_reserve_steps",
-        mean_reserve,
-        "steps",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
+    metrics.push(exact("chaos.mean_recovery_ticks", mean_recovery, "ticks"));
+    metrics.push(exact("chaos.mean_reserve_steps", mean_reserve, "steps"));
+    metrics.push(exact(
         "chaos.store_write_failures",
         ch.store.write_failures as f64,
         "count",
-        "exact",
-        None,
     ));
-    metrics.push(metric(
+    metrics.push(exact(
         "chaos.store_quarantined",
         ch.store.quarantined as f64,
         "count",
-        "exact",
-        None,
     ));
 
     // Macro: daemon loopback — wall-clock round trips through the real
@@ -597,9 +556,8 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
     .map_err(|e| format!("daemon: {e}"))?;
     let mut rt_client =
         lumen_daemon::DaemonClient::connect(daemon.port()).map_err(|e| format!("connect: {e}"))?;
-    let rounds = if quick { 64 } else { 256 };
-    let mut rtts_ms = Vec::with_capacity(rounds);
-    for nonce in 0..rounds as u64 {
+    let mut rtts_ms = Vec::with_capacity(256);
+    for nonce in 0..256 {
         let start = Instant::now();
         rt_client
             .send(&lumen_daemon::Frame::Ping { nonce })
@@ -635,181 +593,76 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
     drop(rt_client);
     drop(daemon);
 
-    let opts = if quick {
-        daemon_exp::DaemonOpts {
-            honest: 2,
-            clips: 1,
-            train_count: 8,
-            ..daemon_exp::DaemonOpts::default()
-        }
-    } else {
-        daemon_exp::DaemonOpts::default()
-    };
-    let d = daemon_exp::run(opts).map_err(|e| format!("daemon experiment: {e}"))?;
+    let d = daemon_exp::run(daemon_exp::DaemonOpts::default())
+        .map_err(|e| format!("daemon experiment: {e}"))?;
     let first_verdict = d
         .rows
         .iter()
         .filter_map(|r| r.first_verdict_turns)
         .max()
         .unwrap_or(0);
-    metrics.push(metric(
+    metrics.push(exact(
         "daemon.first_verdict_turns",
         first_verdict as f64,
         "turns",
-        "exact",
-        None,
     ));
-    metrics.push(metric(
-        "daemon.rate_limited",
-        d.rate_limited as f64,
-        "count",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "daemon.accounting_ok",
-        f64::from(u8::from(d.accounting_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "daemon.integrity_ok",
-        f64::from(u8::from(d.integrity_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
+    metrics.push(exact("daemon.rate_limited", d.rate_limited as f64, "count"));
+    metrics.push(flag("daemon.accounting_ok", d.accounting_ok));
+    metrics.push(flag("daemon.integrity_ok", d.integrity_ok));
 
     eprintln!("[lumen-bench] macro: daemon kill/restore soak");
-    let opts = if quick {
-        dsoak::DsoakOpts {
-            clients: 2,
-            clips: 2,
-            train_count: 8,
-            ..dsoak::DsoakOpts::default()
-        }
-    } else {
-        dsoak::DsoakOpts::default()
-    };
-    let ds = dsoak::run(opts).map_err(|e| format!("dsoak experiment: {e}"))?;
-    metrics.push(metric(
-        "dsoak.kills",
-        ds.kills.len() as f64,
-        "count",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "dsoak.byte_identity_ok",
-        f64::from(u8::from(ds.byte_identity_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "dsoak.integrity_ok",
-        f64::from(u8::from(ds.integrity_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
+    let ds =
+        dsoak::run(dsoak::DsoakOpts::default()).map_err(|e| format!("dsoak experiment: {e}"))?;
+    metrics.push(exact("dsoak.kills", ds.kills.len() as f64, "count"));
+    metrics.push(flag("dsoak.byte_identity_ok", ds.byte_identity_ok));
+    metrics.push(flag("dsoak.integrity_ok", ds.integrity_ok));
 
     // Macro: fleet sweep — the sharded multi-supervisor runtime driven
-    // over waves of short sessions. Throughput is timing (wall-clock per
-    // core); everything else is a deterministic tick-domain outcome and
-    // gates exactly: cross-shard accounting, single-supervisor parity,
-    // threaded-stepping identity, mid-clip snapshot replay and the
-    // per-tick work-stealing conservation ledger.
+    // over waves of short sessions. The serial sweep alone is timed, per
+    // swept session on the one core it runs on; everything else is a
+    // deterministic tick-domain outcome and gates exactly: cross-shard
+    // accounting, single-supervisor parity, mid-clip snapshot replay and
+    // the per-tick work-stealing conservation ledger.
     eprintln!("[lumen-bench] macro: fleet experiment");
-    let opts = if quick {
-        fleet_exp::FleetOpts {
-            sessions: vec![192, 384],
-            shards: 4,
-            min_wave: 48,
-            wave_divisor: 4,
-            train_count: 8,
-            trace_pool: 4,
-            deadline_ticks: 8,
-            admission_burst: 16,
-            admission_refill: 4.0,
-            parity_sessions: 32,
-            snapshot_sessions: 16,
-            ..fleet_exp::FleetOpts::default()
-        }
-    } else {
-        fleet_exp::FleetOpts::default()
-    };
+    let opts = fleet_exp::FleetOpts::default();
+    let fleet_err = |e| format!("fleet experiment: {e}");
+    let harness = fleet_exp::Harness::prepare(&opts).map_err(fleet_err)?;
     let started = Instant::now();
-    let fl = fleet_exp::run(opts).map_err(|e| format!("fleet experiment: {e}"))?;
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let swept: u64 = fl.rows.iter().map(|r| r.offered).sum();
+    let sweep = fleet_exp::sweep(&opts, &harness).map_err(fleet_err)?;
+    let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
+    let swept: u64 = sweep.rows.iter().map(|r| r.offered).sum();
     metrics.push(metric(
-        "fleet.sessions_per_core",
-        swept as f64 / elapsed_s.max(1e-9) / cores as f64,
-        "sessions/s",
+        "fleet.us_per_session",
+        elapsed_us / swept.max(1) as f64,
+        "us",
         "timing",
         None,
     ));
+    let fl = fleet_exp::audit(&opts, &harness, sweep).map_err(fleet_err)?;
     if let Some(worst) = fl.rows.last() {
-        metrics.push(metric(
+        metrics.push(exact(
             "fleet.p99_latency_ticks",
             worst.p99_latency_ticks,
             "ticks",
-            "exact",
-            None,
         ));
-        metrics.push(metric(
+        metrics.push(exact(
             "fleet.shed_fraction",
             worst.shed_fraction,
             "fraction",
-            "exact",
-            None,
         ));
     }
-    metrics.push(metric(
+    metrics.push(exact(
         "fleet.steals",
         fl.rows.iter().map(|r| r.steals).sum::<u64>() as f64,
         "count",
-        "exact",
-        None,
     ));
-    metrics.push(metric(
+    metrics.push(flag(
         "fleet.accounting_ok",
-        f64::from(u8::from(fl.rows.iter().all(|r| r.accounting_ok))),
-        "bool",
-        "exact",
-        None,
+        fl.rows.iter().all(|r| r.accounting_ok),
     ));
-    metrics.push(metric(
-        "fleet.parity_ok",
-        f64::from(u8::from(fl.parity_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "fleet.threaded_ok",
-        f64::from(u8::from(fl.threaded_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "fleet.snapshot_ok",
-        f64::from(u8::from(fl.snapshot_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
-    metrics.push(metric(
-        "fleet.conservation_ok",
-        f64::from(u8::from(fl.conservation_ok)),
-        "bool",
-        "exact",
-        None,
-    ));
+    metrics.push(flag("fleet.parity_ok", fl.parity_ok));
+    metrics.push(flag("fleet.snapshot_ok", fl.snapshot_ok));
+    metrics.push(flag("fleet.conservation_ok", fl.conservation_ok));
 
     // Meta: the lint gate's own cost — the full two-tier workspace
     // analysis (lex, parse, symbol table, call graph, every rule) timed
@@ -943,7 +796,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  lumen-bench run [--label L] [--quick] [--out PATH]\n  \
+        "usage:\n  lumen-bench run [--label L] [--out PATH]\n  \
          lumen-bench check --baseline PATH --current PATH \
          [--timing-tolerance-pct N] [--exact-tolerance X] [--warn-only]"
     );
@@ -952,9 +805,8 @@ fn usage() -> ExitCode {
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let label = arg_value(args, "--label").unwrap_or_else(|| "local".to_string());
-    let quick = args.iter().any(|a| a == "--quick");
     let out = arg_value(args, "--out").unwrap_or_else(|| format!("BENCH_{label}.json"));
-    let report = match run_suite(&label, quick) {
+    let report = match run_suite(&label) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lumen-bench: suite failed: {e}");
@@ -1058,6 +910,25 @@ mod tests {
         let findings = check_reports(&base, &slow, 300.0, 1e-9);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].hard);
+    }
+
+    #[test]
+    fn a_sweep_five_times_slower_fails_and_a_faster_one_passes() {
+        // `fleet.us_per_session` is lower-is-better, so the gate fails on
+        // a slowdown, never on a speed-up.
+        let row = |us| {
+            report(vec![metric(
+                "fleet.us_per_session",
+                us,
+                "us",
+                "timing",
+                None,
+            )])
+        };
+        let findings = check_reports(&row(150.0), &row(750.0), 300.0, 1e-9);
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].hard, "{}", findings[0].message);
+        assert!(check_reports(&row(150.0), &row(30.0), 300.0, 1e-9).is_empty());
     }
 
     #[test]

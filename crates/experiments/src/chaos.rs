@@ -14,12 +14,14 @@
 //! stored generation via [`Supervisor::restore_from_store`]; the harness
 //! rewinds its feed to the restored position and re-serves the window.
 //!
-//! Three built-in checks make the run falsifiable:
+//! Three built-in checks make the run falsifiable, the first two through
+//! the [`ReplayAudit`]:
 //!
 //! * **verdict match** — every session that was never quarantined ends
-//!   with a verdict stream byte-identical to an uninterrupted reference
-//!   run under the *same* chaos schedule (all fault decisions are pure
-//!   hashes of stable coordinates, so the two runs see identical faults);
+//!   with a verdict stream byte-identical to a reference run that is
+//!   never killed under the *same* chaos schedule (all fault decisions are
+//!   pure hashes of stable coordinates, so the two runs see identical
+//!   faults);
 //! * **zero silent mis-restores** — a re-served clip must reproduce the
 //!   verdict recorded before the crash, and a sabotaged (torn or
 //!   bit-flipped) record must never be the generation a restore loads;
@@ -28,6 +30,7 @@
 //!   in the restored generation: nothing corrupt slips through, nothing
 //!   healthy is discarded.
 
+use crate::replay::{clip_verdict, Books, ReplayAudit, Restored, Workload};
 use crate::runner::{pct, render_table};
 use crate::ExpResult;
 use lumen_chat::fault::{BurstLoss, FaultPlan};
@@ -40,7 +43,7 @@ use lumen_obs::Recorder;
 use lumen_serve::store::entry_name;
 use lumen_serve::{
     ChaosInjector, ChaosPlan, CheckpointStore, CommitOutcome, MemStorage, ServeConfig, ServeError,
-    SessionEvent, SessionEventKind, StorageFaults, StoreConfig, StoreStats, Supervisor,
+    StorageFaults, StoreConfig, StoreStats, Supervisor,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -258,58 +261,6 @@ struct GenMeta {
     corrupted: Vec<u64>,
 }
 
-/// Per-session verdict books plus the mis-restore tallies they feed.
-#[derive(Default)]
-struct VerdictBook {
-    books: Vec<Vec<ClipVerdict>>,
-    misrestores: u64,
-    holes: u64,
-}
-
-impl VerdictBook {
-    fn new(sessions: usize) -> Self {
-        VerdictBook {
-            books: vec![Vec::new(); sessions],
-            misrestores: 0,
-            holes: 0,
-        }
-    }
-
-    /// Absorbs drained events. A verdict below the book's length is a
-    /// re-serve and must reproduce the recorded verdict exactly; above it
-    /// is a hole (clips skipped silently). Degraded (once-quarantined)
-    /// sessions are excluded — their replay alignment is forfeit by
-    /// design.
-    fn absorb(
-        &mut self,
-        events: &[SessionEvent],
-        mapping: &BTreeMap<u64, usize>,
-        degraded: &[bool],
-    ) {
-        for event in events {
-            let SessionEventKind::Verdict(v) = &event.kind else {
-                continue;
-            };
-            let Some(&si) = mapping.get(&event.session) else {
-                continue;
-            };
-            if degraded[si] {
-                continue;
-            }
-            let book = &mut self.books[si];
-            match v.clip_index.cmp(&book.len()) {
-                std::cmp::Ordering::Less => {
-                    if book[v.clip_index] != *v {
-                        self.misrestores += 1;
-                    }
-                }
-                std::cmp::Ordering::Equal => book.push(v.clone()),
-                std::cmp::Ordering::Greater => self.holes += 1,
-            }
-        }
-    }
-}
-
 /// Runs the chaos experiment.
 ///
 /// # Errors
@@ -349,221 +300,46 @@ pub fn run(opts: ChaosOpts) -> ExpResult<ChaosResult> {
         feeds.push((tx, rx));
     }
     let total_steps = feeds.first().map_or(0, |(tx, _)| tx.len());
-    let clip_samples = fresh_stream(&detector)?.clip_samples();
-
-    let config = ServeConfig {
-        max_sessions: opts.sessions,
-        queue_clips: opts.queue_clips,
-        budget_clips: opts.budget_clips,
-        budget_period_ticks: opts.budget_period_ticks,
-        deadline_ticks: opts.deadline_ticks,
-        ..ServeConfig::default()
+    let template = StreamingDetector::new(detector, 15.0, 3)?;
+    let fx = Fixture {
+        config: ServeConfig {
+            max_sessions: opts.sessions,
+            queue_clips: opts.queue_clips,
+            budget_clips: opts.budget_clips,
+            budget_period_ticks: opts.budget_period_ticks,
+            deadline_ticks: opts.deadline_ticks,
+            ..ServeConfig::default()
+        },
+        clip_samples: template.clip_samples(),
+        opts,
+        injector,
+        template,
+        feeds,
     };
 
-    // Uninterrupted reference run: same fleet, same chaos schedule (all
-    // decisions are hashes of stable coordinates), no store, no kills.
-    let reference = {
-        let mut sup = Supervisor::new(config.clone())?;
-        let mut mapping = BTreeMap::new();
-        for si in 0..opts.sessions {
-            let id = sup
-                .admit(fresh_stream(&detector)?)
-                .session()
-                .ok_or("admission rejected below max_sessions")?;
-            mapping.insert(id, si);
-        }
-        let degraded = vec![false; opts.sessions];
-        let mut book = VerdictBook::new(opts.sessions);
-        for step in 0..total_steps {
-            feed_step(&mut sup, &mapping, &feeds, &injector, clip_samples, step)?;
-            book.absorb(&sup.drain_events(), &mapping, &degraded);
-        }
-        drain(&mut sup, &mapping, &degraded, &mut book)?;
-        book
+    // Both runs serve the same fleet under the same chaos schedule (all
+    // decisions are hashes of stable coordinates) and checkpoint into
+    // their own fault-injected store. The reference is never killed; the
+    // subject records to the obs sink and is killed at the planned steps,
+    // restoring from the newest valid generation.
+    let mut reference = ChaosRun::start(&fx, Recorder::null())?;
+    let mut subject = ChaosRun::start(&fx, recorder)?;
+    let cycles = fx.opts.cycles;
+    let audit = ReplayAudit {
+        steps: total_steps,
+        kills: (1..=cycles)
+            .map(|c| total_steps * c / (cycles + 1))
+            .collect(),
     };
+    let report = audit.run(&mut reference, &mut subject)?;
 
-    // Chaos run: checkpoints into a fault-injected store, kills at the
-    // planned steps, restores from the newest valid generation.
-    let mut sup = Supervisor::new(config.clone()).map(|s| s.with_recorder(recorder.clone()))?;
-    let mut mapping: BTreeMap<u64, usize> = BTreeMap::new();
-    for si in 0..opts.sessions {
-        let id = sup
-            .admit(fresh_stream(&detector)?)
-            .session()
-            .ok_or("admission rejected below max_sessions")?;
-        mapping.insert(id, si);
-    }
-    let mut degraded = vec![false; opts.sessions];
-    let mut book = VerdictBook::new(opts.sessions);
-
-    // The first checkpoint is written fault-free (a deployment checkpoints
-    // once before enabling anything risky), so the store always holds at
-    // least one loadable generation and a restore never *has* to
-    // cold-start; the fault mix switches on right after.
-    let storage = MemStorage::with_faults(opts.plan.seed, StorageFaults::none())?;
-    let mut store = CheckpointStore::new(storage, opts.store)?.with_recorder(recorder.clone());
-    let mut staged: BTreeMap<u64, GenMeta> = BTreeMap::new();
-    let mut durable: BTreeMap<u64, GenMeta> = BTreeMap::new();
-    checkpoint(
-        &mut store,
-        &sup,
-        &injector,
-        &mapping,
-        0,
-        &mut staged,
-        &mut durable,
-    )?;
-    store.storage_mut().set_faults(opts.plan.storage)?;
-
-    let kill_steps: Vec<usize> = (1..=opts.cycles)
-        .map(|c| total_steps * c / (opts.cycles + 1))
-        .collect();
-    let mut cycles = Vec::with_capacity(opts.cycles);
-    let mut store_totals = StoreStats::default();
-    let mut cold_starts = 0usize;
-    let mut sabotage_detection_ok = true;
-    let mut quarantine_exact_ok = true;
-    let mut restored_total = 0usize;
-    let mut quarantined_total = 0usize;
-
-    let mut step = 0usize;
-    let mut next_kill = 0usize;
-    while step < total_steps {
-        feed_step(&mut sup, &mapping, &feeds, &injector, clip_samples, step)?;
-        book.absorb(&sup.drain_events(), &mapping, &degraded);
-        let now = sup.tick_now();
-        if let Some(outcome) = store.tick(now) {
-            settle(outcome, &mut staged, &mut durable);
-        }
-        if step > 0 && step.is_multiple_of(opts.checkpoint_every_steps) {
-            checkpoint(
-                &mut store,
-                &sup,
-                &injector,
-                &mapping,
-                step + 1,
-                &mut staged,
-                &mut durable,
-            )?;
-        }
-        // Each kill fires exactly once: the replay after a rewind passes
-        // the same step again without re-crashing.
-        if next_kill < kill_steps.len() && step == kill_steps[next_kill] {
-            next_kill += 1;
-            let kill_tick = sup.tick_now();
-            drop(sup); // the crash: runtime state and pending retries die
-            let surviving = store.storage().clone();
-            store_totals = store_totals.merged(store.stats());
-            store = CheckpointStore::new(surviving, opts.store)?.with_recorder(recorder.clone());
-            staged.clear();
-            let restore = Supervisor::restore_from_store(
-                config.clone(),
-                &mut store,
-                |_| StreamingDetector::new(detector.clone(), 15.0, 3),
-                &recorder,
-            );
-            match restore {
-                Ok((restored, report)) => {
-                    let generation = report
-                        .fallback_generation
-                        .ok_or("restore succeeded without a generation")?;
-                    if store
-                        .storage()
-                        .sabotaged()
-                        .contains(&entry_name(generation))
-                    {
-                        // A torn or bit-flipped record decoded cleanly: a
-                        // silent mis-restore the framing failed to catch.
-                        sabotage_detection_ok = false;
-                    }
-                    let meta = durable
-                        .get(&generation)
-                        .ok_or("restored a generation the harness never committed")?
-                        .clone();
-                    let mut expected: Vec<u64> = meta.corrupted.clone();
-                    expected.sort_unstable();
-                    let mut got: Vec<u64> = report.quarantined.iter().map(|q| q.id).collect();
-                    got.sort_unstable();
-                    if expected != got {
-                        quarantine_exact_ok = false;
-                    }
-                    sup = restored;
-                    mapping = meta
-                        .mapping
-                        .iter()
-                        .filter(|(id, _)| report.restored.contains(id))
-                        .map(|(&id, &si)| (id, si))
-                        .collect();
-                    for q in &report.quarantined {
-                        let Some(&si) = meta.mapping.get(&q.id) else {
-                            quarantine_exact_ok = false;
-                            continue;
-                        };
-                        degraded[si] = true;
-                        let id = sup
-                            .admit(fresh_stream(&detector)?)
-                            .session()
-                            .ok_or("re-admission rejected after quarantine")?;
-                        mapping.insert(id, si);
-                    }
-                    restored_total += report.restored.len();
-                    quarantined_total += report.quarantined.len();
-                    cycles.push(ChaosCycle {
-                        kill_step: step,
-                        restored_generation: Some(generation),
-                        fallback_depth: report.fallback_depth,
-                        generation_quarantines: report.generation_quarantines.len(),
-                        restored_sessions: report.restored.len(),
-                        quarantined_sessions: report.quarantined.len(),
-                        reserve_steps: (step + 1).saturating_sub(meta.resume_step),
-                        recovery_ticks: kill_tick.saturating_sub(meta.tick),
-                    });
-                    step = meta.resume_step;
-                    continue;
-                }
-                Err(ServeError::BadSnapshot(_)) => {
-                    // Nothing valid stored: cold-start the fleet fresh.
-                    cold_starts += 1;
-                    sup = Supervisor::new(config.clone())
-                        .map(|s| s.with_recorder(recorder.clone()))?;
-                    mapping.clear();
-                    for (si, flag) in degraded.iter_mut().enumerate() {
-                        *flag = true;
-                        let id = sup
-                            .admit(fresh_stream(&detector)?)
-                            .session()
-                            .ok_or("re-admission rejected after cold start")?;
-                        mapping.insert(id, si);
-                    }
-                    cycles.push(ChaosCycle {
-                        kill_step: step,
-                        restored_generation: None,
-                        fallback_depth: 0,
-                        generation_quarantines: store.stats().quarantined as usize,
-                        restored_sessions: 0,
-                        quarantined_sessions: opts.sessions,
-                        reserve_steps: 0,
-                        recovery_ticks: 0,
-                    });
-                    quarantined_total += opts.sessions;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        step += 1;
-    }
-    drain(&mut sup, &mapping, &degraded, &mut book)?;
-    store_totals = store_totals.merged(store.stats());
-
-    let verdict_match_ok =
-        (0..opts.sessions).all(|si| degraded[si] || book.books[si] == reference.books[si]);
-    let restores = restored_total + quarantined_total;
+    let verdict_match_ok = report.books_match();
+    let restores = subject.restored_total + subject.quarantined_total;
     let integrity_ok = verdict_match_ok
-        && sabotage_detection_ok
-        && quarantine_exact_ok
-        && book.misrestores == 0
-        && book.holes == 0
-        && cycles.len() == opts.cycles;
+        && subject.sabotage_detection_ok
+        && subject.quarantine_exact_ok
+        && report.misrestores == 0
+        && subject.cycles.len() == cycles;
 
     let registry = sink.registry();
     let counters = [
@@ -578,129 +354,323 @@ pub fn run(opts: ChaosOpts) -> ExpResult<ChaosResult> {
     .map(|&name| (name.to_string(), registry.counter(name)))
     .collect();
 
+    let stats = subject.sup.stats();
     Ok(ChaosResult {
-        cycles,
-        offered: sup.stats().offered_clips,
-        served: sup.stats().served_clips,
-        shed: sup.stats().shed_clips,
+        offered: stats.offered_clips,
+        served: stats.served_clips,
+        shed: stats.shed_clips,
         quarantine_fraction: if restores == 0 {
             0.0
         } else {
-            quarantined_total as f64 / restores as f64
+            subject.quarantined_total as f64 / restores as f64
         },
-        cold_starts,
-        misrestores: book.misrestores,
+        cold_starts: subject.cold_starts,
+        misrestores: report.misrestores,
         verdict_match_ok,
-        sabotage_detection_ok,
-        quarantine_exact_ok,
+        sabotage_detection_ok: subject.sabotage_detection_ok,
+        quarantine_exact_ok: subject.quarantine_exact_ok,
         integrity_ok,
-        store: store_totals,
-        sabotaged_writes: store.storage().sabotaged().len(),
+        store: subject.store_totals.merged(subject.store.stats()),
+        sabotaged_writes: subject.store.storage().sabotaged().len(),
+        cycles: subject.cycles,
         counters,
     })
 }
 
-fn fresh_stream(detector: &Detector) -> ExpResult<StreamingDetector> {
-    Ok(StreamingDetector::new(detector.clone(), 15.0, 3)?)
-}
-
-/// Feeds one lockstep sample to every session (poisoning the clips the
-/// plan selects), then advances the clock — plus any injected stall.
-fn feed_step(
-    sup: &mut Supervisor,
-    mapping: &BTreeMap<u64, usize>,
-    feeds: &[(Vec<f64>, Vec<f64>)],
-    injector: &ChaosInjector,
+/// Everything the reference and the subject share.
+struct Fixture {
+    opts: ChaosOpts,
+    injector: ChaosInjector,
+    template: StreamingDetector,
+    feeds: Vec<(Vec<f64>, Vec<f64>)>,
     clip_samples: usize,
-    step: usize,
-) -> ExpResult<()> {
-    let clip = (step / clip_samples.max(1)) as u64;
-    for (&id, &si) in mapping {
-        let (tx, rx) = &feeds[si];
-        let (Some(&t), Some(&r)) = (tx.get(step), rx.get(step)) else {
-            continue;
-        };
-        let r = if injector.poison_clip(si as u64, clip) {
-            f64::NAN
-        } else {
-            r
-        };
-        sup.offer(id, t, r)?;
-    }
-    sup.tick();
-    for _ in 0..injector.stall_ticks(step as u64) {
-        sup.tick();
-    }
-    Ok(())
+    config: ServeConfig,
 }
 
-/// Idle-ticks the supervisor until every queued clip is served or sheds
-/// on its deadline, absorbing verdicts as they land.
-fn drain(
-    sup: &mut Supervisor,
-    mapping: &BTreeMap<u64, usize>,
-    degraded: &[bool],
-    book: &mut VerdictBook,
-) -> ExpResult<()> {
-    let mut guard = 0u64;
-    while sup.pending_clips() > 0 {
-        sup.tick();
-        book.absorb(&sup.drain_events(), mapping, degraded);
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("supervisor queues failed to drain".into());
+/// One chaos run: a supervisor checkpointing into its own fault-injected
+/// store, what it knows about each committed generation, and its recovery
+/// tallies.
+struct ChaosRun<'a> {
+    fx: &'a Fixture,
+    recorder: Recorder,
+    sup: Supervisor,
+    mapping: BTreeMap<u64, usize>,
+    store: CheckpointStore<MemStorage>,
+    staged: BTreeMap<u64, GenMeta>,
+    durable: BTreeMap<u64, GenMeta>,
+    cycles: Vec<ChaosCycle>,
+    store_totals: StoreStats,
+    cold_starts: usize,
+    sabotage_detection_ok: bool,
+    quarantine_exact_ok: bool,
+    restored_total: usize,
+    quarantined_total: usize,
+}
+
+impl<'a> ChaosRun<'a> {
+    fn start(fx: &'a Fixture, recorder: Recorder) -> ExpResult<Self> {
+        let mut sup = Supervisor::new(fx.config.clone())?.with_recorder(recorder.clone());
+        let mut mapping = BTreeMap::new();
+        for si in 0..fx.opts.sessions {
+            admit(&mut sup, &mut mapping, &fx.template, si)?;
         }
+        // The first checkpoint is written fault-free (a deployment
+        // checkpoints once before enabling anything risky), so the store
+        // always holds at least one loadable generation and a restore
+        // never *has* to cold-start; the fault mix switches on right after.
+        let storage = MemStorage::with_faults(fx.opts.plan.seed, StorageFaults::none())?;
+        let mut run = ChaosRun {
+            fx,
+            sup,
+            mapping,
+            store: CheckpointStore::new(storage, fx.opts.store)?.with_recorder(recorder.clone()),
+            recorder,
+            staged: BTreeMap::new(),
+            durable: BTreeMap::new(),
+            cycles: Vec::with_capacity(fx.opts.cycles),
+            store_totals: StoreStats::default(),
+            cold_starts: 0,
+            sabotage_detection_ok: true,
+            quarantine_exact_ok: true,
+            restored_total: 0,
+            quarantined_total: 0,
+        };
+        run.checkpoint(0)?;
+        run.store.storage_mut().set_faults(fx.opts.plan.storage)?;
+        Ok(run)
     }
-    book.absorb(&sup.drain_events(), mapping, degraded);
-    Ok(())
-}
 
-/// Snapshots the supervisor, lets the injector rot per-session entries
-/// for the upcoming generation, and commits. The staged metadata is
-/// promoted to durable only when the write (or a later retry) lands.
-fn checkpoint(
-    store: &mut CheckpointStore<MemStorage>,
-    sup: &Supervisor,
-    injector: &ChaosInjector,
-    mapping: &BTreeMap<u64, usize>,
-    resume_step: usize,
-    staged: &mut BTreeMap<u64, GenMeta>,
-    durable: &mut BTreeMap<u64, GenMeta>,
-) -> ExpResult<()> {
-    let generation = store.next_generation();
-    let mut snap = sup.snapshot();
-    let corrupted = injector.corrupt_snapshot(generation, &mut snap);
-    staged.insert(
-        generation,
-        GenMeta {
-            resume_step,
-            tick: snap.tick,
-            mapping: mapping.clone(),
-            corrupted,
-        },
-    );
-    let outcome = store.commit(sup.tick_now(), &snap)?;
-    settle(outcome, staged, durable);
-    Ok(())
-}
-
-/// Promotes or abandons staged generation metadata per commit outcome.
-fn settle(
-    outcome: CommitOutcome,
-    staged: &mut BTreeMap<u64, GenMeta>,
-    durable: &mut BTreeMap<u64, GenMeta>,
-) {
-    match outcome {
-        CommitOutcome::Committed { generation } => {
-            if let Some(meta) = staged.remove(&generation) {
-                durable.insert(generation, meta);
+    fn book_events(&mut self, books: &mut Books<ClipVerdict>) {
+        for event in self.sup.drain_events() {
+            if let (Some(v), Some(&si)) =
+                (clip_verdict(&event.kind), self.mapping.get(&event.session))
+            {
+                books.record(si, v.clip_index, v.clone());
             }
         }
-        CommitOutcome::Retrying { .. } => {}
-        CommitOutcome::GaveUp { generation, .. } => {
-            staged.remove(&generation);
+    }
+
+    /// Snapshots the supervisor, lets the injector rot per-session entries
+    /// for the upcoming generation, and commits. The staged metadata is
+    /// promoted to durable only when the write (or a later retry) lands.
+    fn checkpoint(&mut self, resume_step: usize) -> ExpResult<()> {
+        let generation = self.store.next_generation();
+        let mut snap = self.sup.snapshot();
+        let corrupted = self.fx.injector.corrupt_snapshot(generation, &mut snap);
+        self.staged.insert(
+            generation,
+            GenMeta {
+                resume_step,
+                tick: snap.tick,
+                mapping: self.mapping.clone(),
+                corrupted,
+            },
+        );
+        let outcome = self.store.commit(self.sup.tick_now(), &snap)?;
+        self.settle(outcome);
+        Ok(())
+    }
+
+    /// Promotes or abandons staged generation metadata per commit outcome.
+    fn settle(&mut self, outcome: CommitOutcome) {
+        match outcome {
+            CommitOutcome::Committed { generation } => {
+                if let Some(meta) = self.staged.remove(&generation) {
+                    self.durable.insert(generation, meta);
+                }
+            }
+            CommitOutcome::Retrying { .. } => {}
+            CommitOutcome::GaveUp { generation, .. } => {
+                self.staged.remove(&generation);
+            }
         }
     }
+}
+
+impl Workload for ChaosRun<'_> {
+    type Record = ClipVerdict;
+
+    /// Feeds one lockstep sample to every session (poisoning the clips the
+    /// plan selects), advances the clock plus any injected stall, then
+    /// lets the store retry and checkpoint on its cadence.
+    fn step(&mut self, step: usize, books: &mut Books<ClipVerdict>) -> ExpResult<()> {
+        let fx = self.fx;
+        let clip = (step / fx.clip_samples.max(1)) as u64;
+        for (&id, &si) in &self.mapping {
+            let (tx, rx) = &fx.feeds[si];
+            let (Some(&t), Some(&r)) = (tx.get(step), rx.get(step)) else {
+                continue;
+            };
+            let r = if fx.injector.poison_clip(si as u64, clip) {
+                f64::NAN
+            } else {
+                r
+            };
+            self.sup.offer(id, t, r)?;
+        }
+        self.sup.tick();
+        for _ in 0..fx.injector.stall_ticks(step as u64) {
+            self.sup.tick();
+        }
+        self.book_events(books);
+        if let Some(outcome) = self.store.tick(self.sup.tick_now()) {
+            self.settle(outcome);
+        }
+        if step > 0 && step.is_multiple_of(fx.opts.checkpoint_every_steps) {
+            self.checkpoint(step + 1)?;
+        }
+        Ok(())
+    }
+
+    /// Idle-ticks the supervisor until every queued clip is served or
+    /// sheds on its deadline.
+    fn drain(&mut self, books: &mut Books<ClipVerdict>) -> ExpResult<()> {
+        let mut guard = 0u64;
+        while self.sup.pending_clips() > 0 {
+            self.sup.tick();
+            self.book_events(books);
+            guard += 1;
+            if guard > 1_000_000 {
+                return Err("supervisor queues failed to drain".into());
+            }
+        }
+        self.book_events(books);
+        Ok(())
+    }
+
+    /// Drops the supervisor and its pending retries, keeps only what the
+    /// storage holds, and restores from the newest valid generation;
+    /// quarantined sessions are re-admitted fresh and the feed rewinds to
+    /// the restored position. With nothing valid stored, the fleet
+    /// cold-starts.
+    fn kill_and_restore(
+        &mut self,
+        step: usize,
+        _books: &mut Books<ClipVerdict>,
+    ) -> ExpResult<Restored> {
+        let fx = self.fx;
+        let kill_tick = self.sup.tick_now();
+        let surviving = self.store.storage().clone();
+        self.store_totals = self.store_totals.merged(self.store.stats());
+        self.store =
+            CheckpointStore::new(surviving, fx.opts.store)?.with_recorder(self.recorder.clone());
+        self.staged.clear();
+        let template = &fx.template;
+        let restore = Supervisor::restore_from_store(
+            fx.config.clone(),
+            &mut self.store,
+            |_| Ok(template.clone()),
+            &self.recorder,
+        );
+        match restore {
+            Ok((restored, report)) => {
+                let generation = report
+                    .fallback_generation
+                    .ok_or("restore succeeded without a generation")?;
+                if self
+                    .store
+                    .storage()
+                    .sabotaged()
+                    .contains(&entry_name(generation))
+                {
+                    // A torn or bit-flipped record decoded cleanly: a
+                    // silent mis-restore the framing failed to catch.
+                    self.sabotage_detection_ok = false;
+                }
+                let meta = self
+                    .durable
+                    .get(&generation)
+                    .ok_or("restored a generation the harness never committed")?
+                    .clone();
+                let mut expected: Vec<u64> = meta.corrupted.clone();
+                expected.sort_unstable();
+                let mut got: Vec<u64> = report.quarantined.iter().map(|q| q.id).collect();
+                got.sort_unstable();
+                if expected != got {
+                    self.quarantine_exact_ok = false;
+                }
+                self.sup = restored;
+                self.mapping = meta
+                    .mapping
+                    .iter()
+                    .filter(|(id, _)| report.restored.contains(id))
+                    .map(|(&id, &si)| (id, si))
+                    .collect();
+                let mut quarantined = Vec::with_capacity(report.quarantined.len());
+                for q in &report.quarantined {
+                    let Some(&si) = meta.mapping.get(&q.id) else {
+                        self.quarantine_exact_ok = false;
+                        continue;
+                    };
+                    quarantined.push(si);
+                    admit(&mut self.sup, &mut self.mapping, template, si)?;
+                }
+                self.restored_total += report.restored.len();
+                self.quarantined_total += report.quarantined.len();
+                self.cycles.push(ChaosCycle {
+                    kill_step: step,
+                    restored_generation: Some(generation),
+                    fallback_depth: report.fallback_depth,
+                    generation_quarantines: report.generation_quarantines.len(),
+                    restored_sessions: report.restored.len(),
+                    quarantined_sessions: report.quarantined.len(),
+                    reserve_steps: (step + 1).saturating_sub(meta.resume_step),
+                    recovery_ticks: kill_tick.saturating_sub(meta.tick),
+                });
+                Ok(Restored {
+                    resume_step: meta.resume_step,
+                    quarantined,
+                })
+            }
+            Err(ServeError::BadSnapshot(_)) => {
+                // Nothing valid stored: cold-start the fleet fresh.
+                self.cold_starts += 1;
+                self.sup = Supervisor::new(fx.config.clone())?.with_recorder(self.recorder.clone());
+                self.mapping.clear();
+                for si in 0..fx.opts.sessions {
+                    admit(&mut self.sup, &mut self.mapping, template, si)?;
+                }
+                self.cycles.push(ChaosCycle {
+                    kill_step: step,
+                    restored_generation: None,
+                    fallback_depth: 0,
+                    generation_quarantines: self.store.stats().quarantined as usize,
+                    restored_sessions: 0,
+                    quarantined_sessions: fx.opts.sessions,
+                    reserve_steps: 0,
+                    recovery_ticks: 0,
+                });
+                self.quarantined_total += fx.opts.sessions;
+                Ok(Restored {
+                    resume_step: step + 1,
+                    quarantined: (0..fx.opts.sessions).collect(),
+                })
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Quarantined sessions are re-admitted fresh, so the subject's
+    /// counters legitimately differ from the reference's; the books carry
+    /// the comparison.
+    fn same_outcome(&self, _reference: &Self) -> bool {
+        true
+    }
+}
+
+/// Admits a fresh session for workload `si`.
+fn admit(
+    sup: &mut Supervisor,
+    mapping: &mut BTreeMap<u64, usize>,
+    template: &StreamingDetector,
+    si: usize,
+) -> ExpResult<()> {
+    let id = sup
+        .admit(template.clone())
+        .session()
+        .ok_or("admission rejected below max_sessions")?;
+    mapping.insert(id, si);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! run then drives the *same* client feeds while the daemon process is
 //! killed mid-traffic (≥ 3 times) and restored from its newest surviving
 //! checkpoint generation; clients reconnect, `Resume` their sessions, and
-//! replay from the daemon's `next_sample` resume point. The run is
+//! replay from the daemon's `next_sample` resume point. The
+//! [`ReplayAudit`] books both runs' frames by clip, and the run is
 //! falsified unless:
 //!
 //! * every never-quarantined client's verdict stream is **byte-identical**
@@ -18,8 +19,7 @@
 //! * a hostile garbage burst fired right after every restore still gets a
 //!   typed malformed disconnect — recovery never loosens admission.
 
-use std::collections::BTreeMap;
-
+use crate::replay::{Books, ReplayAudit, Restored, Workload};
 use crate::runner::render_table;
 use crate::{ExpError, ExpResult};
 use lumen_chat::feed::SampleFeed;
@@ -170,33 +170,10 @@ fn flag(ok: bool) -> String {
     if ok { "ok" } else { "FAIL" }.to_string()
 }
 
-/// A client's verdict stream keyed by clip index. A clip yields exactly
-/// one verdict *or* shed frame, so the key is unambiguous; re-served
-/// clips land on occupied slots and must byte-match.
-type Book = BTreeMap<u64, Vec<u8>>;
-
-/// Absorbs a daemon→client frame into `book`. Returns `false` on a
-/// misrestore: an occupied slot whose re-served bytes disagree.
-fn absorb(book: &mut Book, frame: &Frame) -> bool {
-    let clip = match frame {
-        Frame::Verdict { verdict, .. } | Frame::Shed { verdict, .. } => verdict.clip_index,
-        _ => return true,
-    };
-    let bytes = frame.encode();
-    match book.get(&clip) {
-        Some(seen) => *seen == bytes,
-        None => {
-            book.insert(clip, bytes);
-            true
-        }
-    }
-}
-
 struct SoakClient {
     client: DaemonClient,
     feed: SampleFeed,
     session: Option<u64>,
-    book: Book,
     degraded: bool,
 }
 
@@ -205,6 +182,7 @@ struct Fixture {
     daemon_config: DaemonConfig,
     detector: Detector,
     feeds: Vec<Vec<TracePair>>,
+    clips: usize,
 }
 
 fn fixture(opts: &DsoakOpts) -> ExpResult<Fixture> {
@@ -237,6 +215,7 @@ fn fixture(opts: &DsoakOpts) -> ExpResult<Fixture> {
         },
         detector,
         feeds,
+        clips: opts.clips,
     })
 }
 
@@ -245,125 +224,233 @@ fn make_factory(detector: &Detector) -> DetectorFactory {
     Box::new(move |_| StreamingDetector::new(det.clone(), 15.0, 3))
 }
 
-fn connect_all(
-    daemon: &mut Daemon<MemStorage>,
-    feeds: &[Vec<TracePair>],
-) -> ExpResult<Vec<SoakClient>> {
-    let mut clients = Vec::with_capacity(feeds.len());
-    for pairs in feeds {
-        let mut client = DaemonClient::connect(daemon.port())?;
-        client.send(&Frame::Hello)?;
-        clients.push(SoakClient {
-            client,
-            feed: SampleFeed::from_pairs(pairs)?,
-            session: None,
-            book: Book::new(),
-            degraded: false,
-        });
+/// Books a daemon→client frame: a clip yields exactly one verdict *or*
+/// shed frame, so the clip index keys it unambiguously, and its encoded
+/// bytes are the record a re-served clip must reproduce.
+fn book_frame(books: &mut Books<Vec<u8>>, client: usize, frame: &Frame) {
+    if let Frame::Verdict { verdict, .. } | Frame::Shed { verdict, .. } = frame {
+        books.record(client, verdict.clip_index as usize, frame.encode());
     }
-    for _ in 0..64 {
-        daemon.turn_once()?;
-        for c in clients.iter_mut() {
+}
+
+/// One daemon with its clients, driven a turn per step. The reference
+/// runs it uninterrupted; the audit kills the subject.
+struct SoakRun<'a> {
+    fx: &'a Fixture,
+    daemon: Daemon<MemStorage>,
+    clients: Vec<SoakClient>,
+    serve_base: ServeStats,
+    /// The wire/serve accounting identity held in every incarnation so
+    /// far.
+    accounting: bool,
+    /// Every post-restore hostile burst was typed.
+    hostile: bool,
+    kills: Vec<KillRow>,
+}
+
+impl<'a> SoakRun<'a> {
+    fn start(fx: &'a Fixture) -> ExpResult<Self> {
+        let sup = Supervisor::new(fx.serve_config.clone())?.with_flight(FlightConfig::default());
+        let store = CheckpointStore::new(MemStorage::new(), StoreConfig::default())?;
+        let mut daemon = Daemon::new(
+            sup,
+            make_factory(&fx.detector),
+            fx.daemon_config.clone(),
+            Some(store),
+        )?;
+        let mut clients = Vec::with_capacity(fx.feeds.len());
+        for pairs in &fx.feeds {
+            let mut client = DaemonClient::connect(daemon.port())?;
+            client.send(&Frame::Hello)?;
+            clients.push(SoakClient {
+                client,
+                feed: SampleFeed::from_pairs(pairs)?,
+                session: None,
+                degraded: false,
+            });
+        }
+        for _ in 0..64 {
+            daemon.turn_once()?;
+            for c in clients.iter_mut() {
+                for frame in c.client.poll()? {
+                    if let Frame::Welcome { session } = frame {
+                        c.session = Some(session);
+                        c.client.set_session(Some(session));
+                    }
+                }
+            }
+            if clients.iter().all(|c| c.session.is_some()) {
+                break;
+            }
+        }
+        if clients.iter().any(|c| c.session.is_none()) {
+            return Err(ExpError::from("a client was never admitted"));
+        }
+        Ok(SoakRun {
+            fx,
+            daemon,
+            clients,
+            serve_base: ServeStats::default(),
+            accounting: true,
+            hostile: true,
+            kills: Vec::new(),
+        })
+    }
+
+    /// Books everything the daemon has flushed to the live clients.
+    fn poll(&mut self, books: &mut Books<Vec<u8>>) -> ExpResult<()> {
+        for (ci, c) in self.clients.iter_mut().enumerate() {
+            if c.degraded {
+                continue;
+            }
             for frame in c.client.poll()? {
-                if let Frame::Welcome { session } = frame {
-                    c.session = Some(session);
-                    c.client.set_session(Some(session));
+                book_frame(books, ci, &frame);
+            }
+        }
+        Ok(())
+    }
+
+    /// This incarnation's wire counters match its serve counters: wire
+    /// counters reset at restore while serve counters restore from the
+    /// checkpoint, so the identity is checked on deltas.
+    fn incarnation_ok(&self) -> bool {
+        let (end, start) = (self.daemon.serve_stats(), &self.serve_base);
+        let wire = self.daemon.wire_stats();
+        let served = end.served_clips - start.served_clips;
+        let shed = end.shed_clips - start.shed_clips;
+        let offered = end.offered_clips - start.offered_clips;
+        wire.verdict_total() == served && wire.shed_total() == shed && served + shed == offered
+    }
+}
+
+impl Workload for SoakRun<'_> {
+    type Record = Vec<u8>;
+
+    /// One shared event-loop turn: feed a sample per live client, turn
+    /// the daemon, book everything it said.
+    fn step(&mut self, _step: usize, books: &mut Books<Vec<u8>>) -> ExpResult<()> {
+        for c in self.clients.iter_mut() {
+            if c.degraded {
+                continue;
+            }
+            if let Some(session) = c.session {
+                if let Some((tx, rx)) = c.feed.next_sample() {
+                    c.client.send(&Frame::Sample { session, tx, rx })?;
                 }
             }
         }
-        if clients.iter().all(|c| c.session.is_some()) {
-            break;
-        }
+        self.daemon.turn_once()?;
+        self.poll(books)
     }
-    if clients.iter().any(|c| c.session.is_none()) {
-        return Err(ExpError::from("a client was never admitted"));
-    }
-    Ok(clients)
-}
 
-/// One shared event-loop turn: feed a sample per live client, turn the
-/// daemon, absorb everything it said. Returns `false` on a misrestore.
-fn shared_turn(daemon: &mut Daemon<MemStorage>, clients: &mut [SoakClient]) -> ExpResult<bool> {
-    for c in clients.iter_mut() {
-        if c.degraded {
-            continue;
-        }
-        if let Some(session) = c.session {
-            if let Some((tx, rx)) = c.feed.next_sample() {
-                c.client.send(&Frame::Sample { session, tx, rx })?;
+    fn done(&self, books: &Books<Vec<u8>>) -> bool {
+        self.clients.iter().enumerate().all(|(ci, c)| {
+            c.degraded || (c.feed.remaining() == 0 && books.booked(ci) >= self.fx.clips)
+        })
+    }
+
+    /// Drains the daemon, sweeps the last flushed frames into the books
+    /// and checks the last incarnation's accounting.
+    fn drain(&mut self, books: &mut Books<Vec<u8>>) -> ExpResult<()> {
+        self.daemon.drain(20_000)?;
+        self.poll(books)?;
+        self.accounting &= self.incarnation_ok();
+        Ok(())
+    }
+
+    /// Sweeps everything already flushed while the sockets are still
+    /// alive, then pulls the plug between two turns: the checkpoint on
+    /// storage is all the next process gets. Clients reconnect, `Resume`
+    /// and rewind their feeds; a garbage burst then checks that recovery
+    /// never loosens admission.
+    fn kill_and_restore(&mut self, step: usize, books: &mut Books<Vec<u8>>) -> ExpResult<Restored> {
+        let fx = self.fx;
+        self.poll(books)?;
+        let incarnation_ok = self.incarnation_ok();
+        self.accounting &= incarnation_ok;
+        let storage = self
+            .daemon
+            .store()
+            .ok_or_else(|| ExpError::from("soak daemon lost its store"))?
+            .storage()
+            .clone();
+        let surviving = CheckpointStore::new(storage, StoreConfig::default())?;
+        let (restored, report) = Daemon::restore_from_store(
+            fx.serve_config.clone(),
+            surviving,
+            make_factory(&fx.detector),
+            fx.daemon_config.clone(),
+            Some(FlightConfig::default()),
+        )?;
+        self.daemon = restored;
+        self.serve_base = self.daemon.serve_stats().clone();
+        for q in &report.quarantined {
+            for c in self.clients.iter_mut() {
+                if c.session == Some(q.id) {
+                    c.degraded = true;
+                }
             }
         }
+        let mut resumed = 0usize;
+        let mut rejected = 0usize;
+        for (ci, c) in self.clients.iter_mut().enumerate() {
+            if c.degraded {
+                continue;
+            }
+            let Some(session) = c.session else { continue };
+            c.client = DaemonClient::connect(self.daemon.port())?;
+            c.client.send(&Frame::Resume { session })?;
+            let mut answered = false;
+            for _ in 0..64 {
+                self.daemon.turn_once()?;
+                for frame in c.client.poll()? {
+                    match frame {
+                        Frame::Resumed { next_sample, .. } => {
+                            c.feed.rewind_to(next_sample as usize)?;
+                            resumed += 1;
+                            answered = true;
+                        }
+                        Frame::ResumeRejected { .. } => {
+                            c.degraded = true;
+                            rejected += 1;
+                            answered = true;
+                        }
+                        other => book_frame(books, ci, &other),
+                    }
+                }
+                if answered {
+                    break;
+                }
+            }
+            if !answered {
+                return Err(ExpError::from("resume went unanswered"));
+            }
+        }
+        let burst_ok = hostile_burst(&mut self.daemon)?;
+        self.hostile &= burst_ok;
+        self.kills.push(KillRow {
+            at_turn: step as u64 + 1,
+            generation: report.fallback_generation,
+            restored: report.restored.len(),
+            quarantined: report.quarantined.len(),
+            resumed,
+            rejected,
+            accounting_ok: incarnation_ok,
+            hostile_typed_ok: burst_ok,
+        });
+        Ok(Restored {
+            resume_step: step + 1,
+            quarantined: (0..self.clients.len())
+                .filter(|&ci| self.clients[ci].degraded)
+                .collect(),
+        })
     }
-    daemon.turn_once()?;
-    let mut clean = true;
-    for c in clients.iter_mut() {
-        if c.degraded {
-            continue;
-        }
-        for frame in c.client.poll()? {
-            clean &= absorb(&mut c.book, &frame);
-        }
+
+    /// Wire counters restart with every incarnation, so each run checks
+    /// its accounting per incarnation instead of against the other run.
+    fn same_outcome(&self, _reference: &Self) -> bool {
+        true
     }
-    Ok(clean)
-}
-
-fn done(clients: &[SoakClient], clips: usize) -> bool {
-    clients
-        .iter()
-        .all(|c| c.degraded || (c.feed.remaining() == 0 && c.book.len() >= clips))
-}
-
-/// Drains the daemon and sweeps the last flushed frames into the books.
-fn finish(daemon: &mut Daemon<MemStorage>, clients: &mut [SoakClient]) -> ExpResult<bool> {
-    daemon.drain(20_000)?;
-    let mut clean = true;
-    for c in clients.iter_mut() {
-        if c.degraded {
-            continue;
-        }
-        for frame in c.client.poll()? {
-            clean &= absorb(&mut c.book, &frame);
-        }
-    }
-    Ok(clean)
-}
-
-fn delta_identity(end: &ServeStats, start: &ServeStats, wire: &lumen_daemon::WireStats) -> bool {
-    let served = end.served_clips - start.served_clips;
-    let shed = end.shed_clips - start.shed_clips;
-    let offered = end.offered_clips - start.offered_clips;
-    wire.verdict_total() == served && wire.shed_total() == shed && served + shed == offered
-}
-
-/// The uninterrupted reference run: same seeds, same pacing, no kills.
-fn reference_run(opts: &DsoakOpts, fx: &Fixture) -> ExpResult<(Vec<Book>, bool)> {
-    let sup = Supervisor::new(fx.serve_config.clone())?.with_flight(FlightConfig::default());
-    let store = CheckpointStore::new(MemStorage::new(), StoreConfig::default())?;
-    let mut daemon = Daemon::new(
-        sup,
-        make_factory(&fx.detector),
-        fx.daemon_config.clone(),
-        Some(store),
-    )?;
-    let mut clients = connect_all(&mut daemon, &fx.feeds)?;
-    let mut clean = true;
-    let max_turns = (opts.clips * 200 + 2_000) as u64;
-    for _ in 0..max_turns {
-        clean &= shared_turn(&mut daemon, &mut clients)?;
-        if done(&clients, opts.clips) {
-            break;
-        }
-    }
-    clean &= finish(&mut daemon, &mut clients)?;
-    let identity = delta_identity(
-        daemon.serve_stats(),
-        &ServeStats::default(),
-        daemon.wire_stats(),
-    );
-    Ok((
-        clients.into_iter().map(|c| c.book).collect(),
-        clean && identity,
-    ))
 }
 
 /// Fires a garbage burst at a freshly restored daemon and demands the
@@ -389,152 +476,39 @@ fn hostile_burst(daemon: &mut Daemon<MemStorage>) -> ExpResult<bool> {
 /// kills, quarantines and hostile traffic are results, not errors.
 pub fn run(opts: DsoakOpts) -> ExpResult<DsoakResult> {
     let fx = fixture(&opts)?;
-    let (reference_books, reference_clean) = reference_run(&opts, &fx)?;
+    let mut reference = SoakRun::start(&fx)?;
+    let mut soak = SoakRun::start(&fx)?;
 
-    let sup = Supervisor::new(fx.serve_config.clone())?.with_flight(FlightConfig::default());
-    let store = CheckpointStore::new(MemStorage::new(), StoreConfig::default())?;
-    let mut daemon = Daemon::new(
-        sup,
-        make_factory(&fx.detector),
-        fx.daemon_config.clone(),
-        Some(store),
-    )?;
-    let mut clients = connect_all(&mut daemon, &fx.feeds)?;
+    let clip_samples = StreamingDetector::new(fx.detector.clone(), 15.0, 3)?.clip_samples();
+    let total_steps = opts.clips * clip_samples;
+    // A kill lands between two turns: after turn `t - 1`, before turn `t`.
+    let audit = ReplayAudit {
+        steps: total_steps + (opts.kills + 1) * 1_000,
+        kills: (1..=opts.kills)
+            .map(|k| (total_steps * k / (opts.kills + 1)).saturating_sub(1))
+            .collect(),
+    };
+    let report = audit.run(&mut reference, &mut soak)?;
 
-    let clip_samples = StreamingDetector::new(fx.detector.clone(), 15.0, 3)?.clip_samples() as u64;
-    let total_steps = opts.clips as u64 * clip_samples;
-    let kill_turns: Vec<u64> = (1..=opts.kills as u64)
-        .map(|k| total_steps * k / (opts.kills as u64 + 1))
-        .collect();
-
-    let mut kills = Vec::with_capacity(opts.kills);
-    let mut serve_base = ServeStats::default();
-    let mut no_misrestore = true;
-    let mut accounting = true;
-    let mut hostile = true;
-    let max_turns = total_steps + (opts.kills as u64 + 1) * 1_000;
-    let mut turn = 0u64;
-    while turn < max_turns {
-        if kills.len() < opts.kills && kill_turns.get(kills.len()) == Some(&turn) {
-            // Sweep everything already flushed while the sockets are
-            // still alive, then pull the plug between two turns — the
-            // checkpoint on storage is all the next process gets.
-            for c in clients.iter_mut() {
-                if c.degraded {
-                    continue;
-                }
-                for frame in c.client.poll()? {
-                    no_misrestore &= absorb(&mut c.book, &frame);
-                }
-            }
-            let incarnation_ok =
-                delta_identity(daemon.serve_stats(), &serve_base, daemon.wire_stats());
-            accounting &= incarnation_ok;
-            let storage = daemon
-                .store()
-                .ok_or_else(|| ExpError::from("soak daemon lost its store"))?
-                .storage()
-                .clone();
-            drop(daemon);
-            let surviving = CheckpointStore::new(storage, StoreConfig::default())?;
-            let (restored, report) = Daemon::restore_from_store(
-                fx.serve_config.clone(),
-                surviving,
-                make_factory(&fx.detector),
-                fx.daemon_config.clone(),
-                Some(FlightConfig::default()),
-            )?;
-            daemon = restored;
-            serve_base = daemon.serve_stats().clone();
-            for q in &report.quarantined {
-                for c in clients.iter_mut() {
-                    if c.session == Some(q.id) {
-                        c.degraded = true;
-                    }
-                }
-            }
-            let mut resumed = 0usize;
-            let mut rejected = 0usize;
-            for c in clients.iter_mut() {
-                if c.degraded {
-                    continue;
-                }
-                let Some(session) = c.session else { continue };
-                c.client = DaemonClient::connect(daemon.port())?;
-                c.client.send(&Frame::Resume { session })?;
-                let mut answered = false;
-                for _ in 0..64 {
-                    daemon.turn_once()?;
-                    for frame in c.client.poll()? {
-                        match frame {
-                            Frame::Resumed { next_sample, .. } => {
-                                c.feed.rewind_to(next_sample as usize)?;
-                                resumed += 1;
-                                answered = true;
-                            }
-                            Frame::ResumeRejected { .. } => {
-                                c.degraded = true;
-                                rejected += 1;
-                                answered = true;
-                            }
-                            other => no_misrestore &= absorb(&mut c.book, &other),
-                        }
-                    }
-                    if answered {
-                        break;
-                    }
-                }
-                if !answered {
-                    return Err(ExpError::from("resume went unanswered"));
-                }
-            }
-            let burst_ok = hostile_burst(&mut daemon)?;
-            hostile &= burst_ok;
-            kills.push(KillRow {
-                at_turn: turn,
-                generation: report.fallback_generation,
-                restored: report.restored.len(),
-                quarantined: report.quarantined.len(),
-                resumed,
-                rejected,
-                accounting_ok: incarnation_ok,
-                hostile_typed_ok: burst_ok,
-            });
-        }
-        no_misrestore &= shared_turn(&mut daemon, &mut clients)?;
-        turn += 1;
-        if kills.len() >= opts.kills && done(&clients, opts.clips) {
-            break;
-        }
-    }
-    no_misrestore &= finish(&mut daemon, &mut clients)?;
-    accounting &= delta_identity(daemon.serve_stats(), &serve_base, daemon.wire_stats());
-
-    let never_quarantined = clients.iter().filter(|c| !c.degraded).count();
-    let byte_identity_ok = clients
-        .iter()
-        .zip(&reference_books)
-        .filter(|(c, _)| !c.degraded)
-        .all(|(c, reference)| c.book == *reference)
-        && never_quarantined > 0;
-    let reference_frames: u64 = reference_books.iter().map(|b| b.len() as u64).sum();
-    let soak_frames: u64 = clients.iter().map(|c| c.book.len() as u64).sum();
-    let integrity_ok = kills.len() >= opts.kills.max(3)
+    let never_quarantined = opts.clients - report.exempt.len();
+    let byte_identity_ok = report.books_match() && never_quarantined > 0;
+    let no_misrestore_ok = report.misrestores == 0;
+    let integrity_ok = soak.kills.len() >= opts.kills.max(3)
         && byte_identity_ok
-        && no_misrestore
-        && accounting
-        && hostile
-        && reference_clean;
+        && no_misrestore_ok
+        && soak.accounting
+        && soak.hostile
+        && reference.accounting;
 
     Ok(DsoakResult {
-        kills,
-        reference_frames,
-        soak_frames,
+        kills: soak.kills,
+        reference_frames: report.reference_records,
+        soak_frames: report.subject_records,
         never_quarantined,
         byte_identity_ok,
-        no_misrestore_ok: no_misrestore,
-        accounting_ok: accounting,
-        hostile_ok: hostile,
+        no_misrestore_ok,
+        accounting_ok: soak.accounting,
+        hostile_ok: soak.hostile,
         integrity_ok,
     })
 }

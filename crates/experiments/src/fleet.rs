@@ -17,31 +17,30 @@
 //! * **conservation** — the work-stealing ledger
 //!   `offered == served + shed + in_flight` holds on *every* tick;
 //! * **parity** — at equal budgets (N shards × b vs one supervisor with
-//!   N·b) and no shedding, per-session verdict streams are
-//!   byte-identical to a single-supervisor reference, and the threaded
-//!   per-core stepping path is byte-identical to the serial one;
-//! * **snapshot** — a mid-clip kill into a [`FleetSnapshot`] through the
-//!   checkpoint store restores shard-by-shard and replays the remainder
+//!   N·b) and no shedding, per-session verdict books are identical to a
+//!   single-supervisor reference;
+//! * **snapshot** — under the [`ReplayAudit`], a mid-clip kill into a
+//!   [`FleetSnapshot`](lumen_fleet::FleetSnapshot) through the checkpoint
+//!   store restores shard-by-shard and replays the remainder
 //!   byte-identically.
 //!
 //! `lumen-bench` gates the sweep's `fleet.*` rows against
-//! `BENCH_baseline.json`.
+//! `BENCH_baseline.json` and times [`sweep`] alone.
 
+use crate::replay::{FleetReplay, ReplayAudit, SupervisorReplay};
 use crate::runner::{pct, render_table};
 use crate::ExpResult;
+use lumen_chat::feed::SampleFeed;
 use lumen_chat::scenario::ScenarioBuilder;
 use lumen_chat::trace::TracePair;
 use lumen_core::detector::Detector;
 use lumen_core::stream::StreamingDetector;
 use lumen_core::Config;
 use lumen_dsp::stats::quantile;
-use lumen_fleet::{
-    AdmissionConfig, Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent, FleetSnapshot,
-};
+use lumen_fleet::{AdmissionConfig, Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent};
 use lumen_obs::Recorder;
-use lumen_serve::{CheckpointStore, MemStorage, ServeConfig, SessionEventKind, StoreConfig};
+use lumen_serve::{ServeConfig, SessionEventKind, Supervisor};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Options for the fleet sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,7 +72,7 @@ pub struct FleetOpts {
     /// Fleet admission bucket: refill per tick.
     pub admission_refill: f64,
     /// Sessions in the single-wave parity run (fleet vs one supervisor
-    /// at equal total budget, and threaded vs serial stepping).
+    /// at equal total budget).
     pub parity_sessions: usize,
     /// Sessions in the mid-clip kill/restore run.
     pub snapshot_sessions: usize,
@@ -145,12 +144,10 @@ pub struct FleetResult {
     pub clip_samples: usize,
     /// Rows for each swept session count.
     pub rows: Vec<FleetRow>,
-    /// Per-session verdict streams byte-identical to a single-supervisor
-    /// reference at equal total budget (no-shed load).
+    /// Per-session verdict books identical to a single-supervisor
+    /// reference's at equal total budget (no-shed load).
     pub parity_ok: bool,
-    /// One-thread-per-shard stepping byte-identical to serial ticking.
-    pub threaded_ok: bool,
-    /// Mid-clip kill into a store-persisted [`FleetSnapshot`] restored
+    /// Mid-clip kill into a store-persisted fleet snapshot restored
     /// shard-by-shard and replayed byte-identically.
     pub snapshot_ok: bool,
     /// `offered == served + shed + in_flight` held on every tick of
@@ -204,9 +201,8 @@ impl FleetResult {
         );
         out.push('\n');
         out.push_str(&format!(
-            "fleet parity vs single supervisor: {}; threaded stepping identical: {}\n",
-            ok(self.parity_ok),
-            ok(self.threaded_ok)
+            "fleet parity vs single supervisor: {}\n",
+            ok(self.parity_ok)
         ));
         out.push_str(&format!(
             "snapshot replay identical: {}; conservation ledger: {}\n",
@@ -224,21 +220,29 @@ fn ok(flag: bool) -> String {
     if flag { "ok" } else { "FAIL" }.to_string()
 }
 
-/// Everything shared by the runs of one experiment invocation.
-struct Harness {
-    detector: Detector,
+/// Trained enrolment and trace pool shared by every run of one
+/// invocation.
+pub struct Harness {
+    template: StreamingDetector,
     pool: Vec<TracePair>,
     clip_samples: usize,
 }
 
 impl Harness {
-    fn prepare(opts: &FleetOpts) -> ExpResult<Harness> {
+    /// Trains the enrolment and renders the trace pool.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scenario and training errors, and fails when a pool
+    /// trace is shorter than one clip.
+    pub fn prepare(opts: &FleetOpts) -> ExpResult<Harness> {
         let chats = ScenarioBuilder::default();
         let training: Vec<TracePair> = (0..opts.train_count)
             .map(|i| chats.legitimate(0, 90_000 + i as u64))
             .collect::<Result<_, _>>()?;
         let detector = Detector::train_from_traces(&training, Config::default())?;
-        let clip_samples = StreamingDetector::new(detector.clone(), 15.0, 3)?.clip_samples();
+        let template = StreamingDetector::new(detector, 15.0, 3)?;
+        let clip_samples = template.clip_samples();
         let pool: Vec<TracePair> = (0..opts.trace_pool.max(1))
             .map(|i| chats.legitimate(0, 95_000 + i as u64))
             .collect::<Result<_, _>>()?;
@@ -248,18 +252,21 @@ impl Harness {
             }
         }
         Ok(Harness {
-            detector,
+            template,
             pool,
             clip_samples,
         })
     }
 
-    fn stream(&self) -> ExpResult<StreamingDetector> {
-        Ok(StreamingDetector::new(self.detector.clone(), 15.0, 3)?)
-    }
-
     fn trace(&self, session_ordinal: usize) -> &TracePair {
         &self.pool[session_ordinal % self.pool.len()]
+    }
+
+    /// One single-clip feed per session, for `sessions` sessions.
+    fn feeds(&self, sessions: usize) -> ExpResult<Vec<SampleFeed>> {
+        Ok((0..sessions)
+            .map(|i| SampleFeed::new(self.trace(i)))
+            .collect::<Result<_, _>>()?)
     }
 }
 
@@ -334,7 +341,7 @@ fn drive_point(
         let mut ids = Vec::with_capacity(batch);
         for _ in 0..batch {
             loop {
-                match fleet.admit(key, harness.stream()?) {
+                match fleet.admit(key, harness.template.clone()) {
                     FleetAdmitOutcome::Admitted { session, .. } => {
                         ids.push(session);
                         key += 1;
@@ -428,242 +435,29 @@ fn drive_point(
     })
 }
 
-/// Drives a single no-shed wave through a fleet and returns per-key
-/// serialized verdict streams plus the raw event stream.
-fn fleet_reference_run(
-    opts: &FleetOpts,
-    harness: &Harness,
-    sessions: usize,
-    threaded: bool,
-) -> ExpResult<(BTreeMap<u64, String>, Vec<FleetEvent>, bool)> {
-    let mut fleet = Fleet::new(relaxed_config(opts, sessions))?;
-    let mut conservation_ok = true;
-    let mut by_key = BTreeMap::new();
-    let mut ids = Vec::with_capacity(sessions);
-    for key in 0..sessions as u64 {
-        match fleet.admit(key, harness.stream()?) {
-            FleetAdmitOutcome::Admitted { session, .. } => ids.push((key, session)),
-            other => return Err(format!("parity admission refused: {other:?}").into()),
-        }
-    }
-    for sample in 0..harness.clip_samples {
-        for (i, &(_, id)) in ids.iter().enumerate() {
-            let pair = harness.trace(i);
-            fleet.offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])?;
-        }
-        if threaded {
-            fleet.step_shards(|_, shard| {
-                shard.tick();
-            });
-        } else {
-            fleet.tick();
-        }
-        conservation_ok &= fleet.ledger().holds();
-    }
-    let mut guard = 0u64;
-    while fleet.pending_clips() > 0 {
-        fleet.tick();
-        conservation_ok &= fleet.ledger().holds();
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("parity fleet failed to drain".into());
-        }
-    }
-    let events = fleet.drain_events();
-    if fleet.shard_stats().shed_clips != 0 {
-        return Err("parity run shed clips; its budgets are miscalibrated".into());
-    }
-    for &(key, id) in &ids {
-        by_key.insert(key, verdict_stream(&events, id)?);
-    }
-    Ok((by_key, events, conservation_ok))
+/// The sweep's rows and what it observed, before the run-wide audits.
+pub struct Sweep {
+    /// Rows for each swept session count.
+    pub rows: Vec<FleetRow>,
+    conservation_ok: bool,
+    counters: Vec<(String, u64)>,
 }
 
-/// Serializes the ordered verdict stream of one session, the unit of the
-/// byte-identity comparisons.
-fn verdict_stream(events: &[FleetEvent], session: u64) -> ExpResult<String> {
-    let verdicts: Vec<_> = events
-        .iter()
-        .filter(|e| e.session == session)
-        .filter_map(|e| match &e.kind {
-            SessionEventKind::Verdict(v) => Some(v.clone()),
-            _ => None,
-        })
-        .collect();
-    Ok(serde_json::to_string(&verdicts)?)
-}
-
-/// Runs the same no-shed wave through one supervisor with the fleet's
-/// summed budget and compares per-key verdict streams byte for byte.
-fn parity_check(
-    opts: &FleetOpts,
-    harness: &Harness,
-    fleet_streams: &BTreeMap<u64, String>,
-) -> ExpResult<bool> {
-    let sessions = opts.parity_sessions;
-    let relaxed = relaxed_config(opts, sessions);
-    let config = ServeConfig {
-        max_sessions: sessions,
-        // Equal budgets: N shards x b clips per period in one supervisor.
-        budget_clips: relaxed.shard.budget_clips * opts.shards as u64,
-        ..relaxed.shard
-    };
-    let mut sup = lumen_serve::Supervisor::new(config)?;
-    let mut ids = Vec::with_capacity(sessions);
-    for key in 0..sessions as u64 {
-        let id = sup
-            .admit(harness.stream()?)
-            .session()
-            .ok_or("reference admission rejected below max_sessions")?;
-        ids.push((key, id));
-    }
-    for sample in 0..harness.clip_samples {
-        for (i, &(_, id)) in ids.iter().enumerate() {
-            let pair = harness.trace(i);
-            sup.offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])?;
-        }
-        sup.tick();
-    }
-    let mut guard = 0u64;
-    while sup.pending_clips() > 0 {
-        sup.tick();
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("parity reference failed to drain".into());
-        }
-    }
-    if sup.stats().shed_clips != 0 {
-        return Err("parity reference shed clips; its budget is miscalibrated".into());
-    }
-    let events = sup.drain_events();
-    for &(key, id) in &ids {
-        let verdicts: Vec<_> = events
-            .iter()
-            .filter(|e| e.session == id)
-            .filter_map(|e| match &e.kind {
-                SessionEventKind::Verdict(v) => Some(v.clone()),
-                _ => None,
-            })
-            .collect();
-        let reference = serde_json::to_string(&verdicts)?;
-        if fleet_streams.get(&key) != Some(&reference) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Kills a fleet mid-clip into the checkpoint store, restores it shard
-/// by shard and replays the remainder; the post-cut event stream and the
-/// final counters must be byte-identical to the uninterrupted run.
-fn snapshot_check(opts: &FleetOpts, harness: &Harness) -> ExpResult<(bool, bool)> {
-    let sessions = opts.snapshot_sessions;
-    let config = relaxed_config(opts, sessions);
-    let cut = harness.clip_samples * 7 / 15; // mid-clip, partial buffers live
-    let mut conservation_ok = true;
-
-    let mut original = Fleet::new(config.clone())?;
-    let mut ids = Vec::with_capacity(sessions);
-    for key in 0..sessions as u64 {
-        match original.admit(key, harness.stream()?) {
-            FleetAdmitOutcome::Admitted { session, .. } => ids.push(session),
-            other => return Err(format!("snapshot admission refused: {other:?}").into()),
-        }
-    }
-    let mut snapshot: Option<FleetSnapshot> = None;
-    let mut prefix: Vec<FleetEvent> = Vec::new();
-    for sample in 0..harness.clip_samples {
-        if sample == cut {
-            prefix = original.drain_events();
-            snapshot = Some(original.snapshot());
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            let pair = harness.trace(i);
-            original.offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])?;
-        }
-        original.tick();
-        conservation_ok &= original.ledger().holds();
-    }
-    let mut guard = 0u64;
-    while original.pending_clips() > 0 {
-        original.tick();
-        conservation_ok &= original.ledger().holds();
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("snapshot original failed to drain".into());
-        }
-    }
-    let tail_original = original.drain_events();
-    let stats_original = original.shard_stats();
-    // Pre-cut events already reached their consumer before the crash;
-    // only the replayed tail is comparable.
-    drop(prefix);
-
-    // Persist the cut through the store, "crash", restore, replay.
-    let mut store: CheckpointStore<MemStorage, FleetSnapshot> =
-        CheckpointStore::new(MemStorage::new(), StoreConfig::default())?;
-    let at = snapshot.ok_or("cut landed outside the run")?;
-    store.commit(at.manifest.tick, &at)?;
-    drop(original); // the "crash"
-    let detector = harness.detector.clone();
-    let (mut restored, report) = Fleet::restore_from_store(
-        config,
-        &mut store,
-        |_| StreamingDetector::new(detector.clone(), 15.0, 3),
-        &Recorder::null(),
-    )?;
-    if report.restored_sessions() != sessions || !report.quarantined_sessions().is_empty() {
-        return Ok((false, conservation_ok));
-    }
-    for sample in cut..harness.clip_samples {
-        for (i, &id) in ids.iter().enumerate() {
-            let pair = harness.trace(i);
-            restored.offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])?;
-        }
-        restored.tick();
-        conservation_ok &= restored.ledger().holds();
-    }
-    let mut guard = 0u64;
-    while restored.pending_clips() > 0 {
-        restored.tick();
-        conservation_ok &= restored.ledger().holds();
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("snapshot restore failed to drain".into());
-        }
-    }
-    let tail_restored = restored.drain_events();
-    let snapshot_ok = tail_restored == tail_original && restored.shard_stats() == stats_original;
-    Ok((snapshot_ok, conservation_ok))
-}
-
-/// Runs the fleet sweep.
+/// Drives every sweep point through its own fleet: the part of the run
+/// that `lumen-bench` times.
 ///
 /// # Errors
 ///
-/// Propagates scenario, training, detection, serving and fleet errors.
-pub fn run(opts: FleetOpts) -> ExpResult<FleetResult> {
-    let harness = Harness::prepare(&opts)?;
+/// Propagates detection, serving and fleet errors.
+pub fn sweep(opts: &FleetOpts, harness: &Harness) -> ExpResult<Sweep> {
     let (recorder, sink) = Recorder::in_memory();
     let mut conservation_ok = true;
-
     let mut rows = Vec::new();
     for &count in &opts.sessions {
-        let point = drive_point(&opts, &harness, count, &recorder)?;
+        let point = drive_point(opts, harness, count, &recorder)?;
         conservation_ok &= point.conservation_ok;
         rows.push(point.row);
     }
-
-    let (fleet_streams, serial_events, cons_a) =
-        fleet_reference_run(&opts, &harness, opts.parity_sessions, false)?;
-    let (_, threaded_events, cons_b) =
-        fleet_reference_run(&opts, &harness, opts.parity_sessions, true)?;
-    conservation_ok &= cons_a && cons_b;
-    let threaded_ok = serial_events == threaded_events;
-    let parity_ok = parity_check(&opts, &harness, &fleet_streams)?;
-    let (snapshot_ok, cons_c) = snapshot_check(&opts, &harness)?;
-    conservation_ok &= cons_c;
-
     // Fleet-tier counters only: the shards run unrecorded at this scale
     // (an in-memory sink buffers every event), and their serve accounting
     // is already exact in the per-row stats.
@@ -672,17 +466,79 @@ pub fn run(opts: FleetOpts) -> ExpResult<FleetResult> {
         .iter()
         .map(|&name| (name.to_string(), registry.counter(name)))
         .collect();
+    Ok(Sweep {
+        rows,
+        conservation_ok,
+        counters,
+    })
+}
+
+/// Runs the parity and snapshot audits on relaxed, no-shed fleets and
+/// assembles the result around `sweep`.
+///
+/// # Errors
+///
+/// Propagates detection, serving, fleet and store errors, and fails when
+/// a parity run sheds (its budgets would be miscalibrated).
+pub fn audit(opts: &FleetOpts, harness: &Harness, sweep: Sweep) -> ExpResult<FleetResult> {
+    // Parity: one no-shed wave through the fleet and through one
+    // supervisor with the fleet's summed budget books identical verdicts.
+    let wave = ReplayAudit {
+        steps: harness.clip_samples,
+        kills: Vec::new(),
+    };
+    let feeds = harness.feeds(opts.parity_sessions)?;
+    let relaxed = relaxed_config(opts, opts.parity_sessions);
+    let single = ServeConfig {
+        max_sessions: opts.parity_sessions,
+        // Equal budgets: N shards x b clips per period in one supervisor.
+        budget_clips: relaxed.shard.budget_clips * opts.shards as u64,
+        ..relaxed.shard.clone()
+    };
+    let mut fleet = FleetReplay::new(relaxed, &harness.template, feeds.clone())?;
+    let fleet_books = wave.book(&mut fleet)?;
+    let mut sup = SupervisorReplay::new(Supervisor::new(single)?, &harness.template, feeds)?;
+    let sup_books = wave.book(&mut sup)?;
+    if fleet.fleet().shard_stats().shed_clips + sup.supervisor().stats().shed_clips != 0 {
+        return Err("parity runs shed clips; their budgets are miscalibrated".into());
+    }
+
+    // Snapshot: killed after sample `cut - 1` (mid-clip, partial buffers
+    // live) into the checkpoint store, restored shard by shard.
+    let feeds = harness.feeds(opts.snapshot_sessions)?;
+    let config = relaxed_config(opts, opts.snapshot_sessions);
+    let mut reference = FleetReplay::new(config.clone(), &harness.template, feeds.clone())?;
+    let mut subject = FleetReplay::new(config, &harness.template, feeds)?;
+    let cut = harness.clip_samples * 7 / 15;
+    let report = ReplayAudit {
+        steps: harness.clip_samples,
+        kills: vec![cut.saturating_sub(1)],
+    }
+    .run(&mut reference, &mut subject)?;
 
     Ok(FleetResult {
         shards: opts.shards,
         clip_samples: harness.clip_samples,
-        rows,
-        parity_ok,
-        threaded_ok,
-        snapshot_ok,
-        conservation_ok,
-        counters,
+        rows: sweep.rows,
+        parity_ok: fleet_books == sup_books,
+        snapshot_ok: report.ok() && report.exempt.is_empty(),
+        conservation_ok: sweep.conservation_ok
+            && fleet.ledger_ok()
+            && reference.ledger_ok()
+            && subject.ledger_ok(),
+        counters: sweep.counters,
     })
+}
+
+/// Runs the fleet sweep and its audits.
+///
+/// # Errors
+///
+/// Propagates scenario, training, detection, serving and fleet errors.
+pub fn run(opts: FleetOpts) -> ExpResult<FleetResult> {
+    let harness = Harness::prepare(&opts)?;
+    let sweep = sweep(&opts, &harness)?;
+    audit(&opts, &harness, sweep)
 }
 
 #[cfg(test)]
@@ -718,7 +574,6 @@ mod tests {
         // The tight 8-tick deadline forces shedding at the heavier point.
         assert!(r.rows[1].shed > 0, "overloaded point must shed");
         assert!(r.parity_ok, "fleet/single-supervisor parity");
-        assert!(r.threaded_ok, "threaded/serial stepping parity");
         assert!(r.snapshot_ok, "mid-clip restore replay");
         assert!(r.conservation_ok, "per-tick conservation ledger");
         let rendered = r.print();

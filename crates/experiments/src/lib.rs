@@ -40,6 +40,7 @@ pub mod pipeline_stages;
 pub mod preproc_ablation;
 pub mod probe;
 pub mod related_work;
+pub mod replay;
 pub mod resilience;
 pub mod roc_analysis;
 pub mod runner;

@@ -15,11 +15,14 @@
 //!   the work that happens.
 //!
 //! The heaviest sweep point is additionally torn down mid-clip into a
-//! serde checkpoint and restored; the event stream must be byte-identical
-//! to the uninterrupted run (`checkpoint_ok`).
+//! serde checkpoint and restored under the [`ReplayAudit`]; the verdict
+//! books, the event stream and the counters must be byte-identical to the
+//! uninterrupted run (`checkpoint_ok`).
 
+use crate::replay::{ReplayAudit, SupervisorReplay};
 use crate::runner::{pct, render_table};
 use crate::ExpResult;
+use lumen_chat::feed::SampleFeed;
 use lumen_chat::scenario::ScenarioBuilder;
 use lumen_chat::trace::TracePair;
 use lumen_core::detector::Detector;
@@ -27,9 +30,7 @@ use lumen_core::stream::StreamingDetector;
 use lumen_core::Config;
 use lumen_dsp::stats::quantile;
 use lumen_obs::Recorder;
-use lumen_serve::{
-    ServeConfig, ServeStats, SessionEvent, SessionEventKind, Supervisor, SupervisorSnapshot,
-};
+use lumen_serve::{ServeConfig, SessionEvent, SessionEventKind, Supervisor};
 use serde::{Deserialize, Serialize};
 
 /// Options for the overload sweep.
@@ -162,13 +163,6 @@ fn ok(flag: bool) -> String {
     if flag { "ok" } else { "FAIL" }.to_string()
 }
 
-/// Everything one driven supervisor run produces.
-struct RunOutput {
-    events: Vec<SessionEvent>,
-    stats: ServeStats,
-    latencies: Vec<u64>,
-}
-
 /// Runs the overload sweep.
 ///
 /// # Errors
@@ -181,8 +175,9 @@ pub fn run(opts: OverloadOpts) -> ExpResult<OverloadResult> {
         .map(|i| chats.legitimate(0, 90_000 + i as u64))
         .collect::<Result<_, _>>()?;
     let detector = Detector::train_from_traces(&training, Config::default())?;
+    let template = StreamingDetector::new(detector, 15.0, 3)?;
 
-    let clip_samples = fresh_stream(&detector)?.clip_samples();
+    let clip_samples = template.clip_samples();
     let saturation_sessions =
         clip_samples as f64 * opts.budget_clips as f64 / opts.budget_period_ticks as f64;
 
@@ -204,7 +199,7 @@ pub fn run(opts: OverloadOpts) -> ExpResult<OverloadResult> {
         // no contention; its outcomes are the integrity ground truth.
         let mut expected = Vec::with_capacity(count);
         for session_traces in &traces {
-            let mut stream = fresh_stream(&detector)?;
+            let mut stream = template.clone();
             let mut verdicts = Vec::with_capacity(opts.clips);
             for pair in session_traces {
                 for i in 0..pair.tx.samples().len() {
@@ -216,42 +211,67 @@ pub fn run(opts: OverloadOpts) -> ExpResult<OverloadResult> {
             expected.push(verdicts);
         }
 
-        let out = drive(&opts, count, &traces, &detector, Some(&recorder), None)?;
-        let accounting_ok = out.stats.offered_clips == (count * opts.clips) as u64
-            && out.stats.served_clips + out.stats.shed_clips == out.stats.offered_clips
-            && out.stats.shed_queue_full
-                + out.stats.shed_deadline
-                + out.stats.shed_breaker
-                + out.stats.shed_failed
-                + out.stats.shed_closed
-                == out.stats.shed_clips;
-        let integrity_ok = integrity(&out.events, &expected);
+        let feeds = traces
+            .iter()
+            .map(|clips| SampleFeed::from_pairs(clips))
+            .collect::<Result<Vec<_>, _>>()?;
+        let steps = feeds.first().map_or(0, SampleFeed::len);
+        let sup = Supervisor::new(serve_config(&opts, count))?.with_recorder(recorder.clone());
+        let mut out = SupervisorReplay::new(sup, &template, feeds.clone())?;
+        let mut replay_ok = None;
+        if count == heaviest && count > 0 {
+            // Checkpoint replay of the heaviest point: tear the supervisor
+            // down mid-clip (partial buffers live) into a serde snapshot,
+            // restore, and require the verdict books, the event stream and
+            // the counters to be indistinguishable.
+            let clip = opts.clips.saturating_sub(1).min(1);
+            let audit = ReplayAudit {
+                steps,
+                kills: vec![clip * clip_samples + clip_samples * 7 / 15],
+            };
+            let sup = Supervisor::new(serve_config(&opts, count))?;
+            let mut replay = SupervisorReplay::new(sup, &template, feeds)?;
+            replay_ok = Some(audit.run(&mut out, &mut replay)?.ok());
+        } else {
+            ReplayAudit {
+                steps,
+                kills: Vec::new(),
+            }
+            .book(&mut out)?;
+        }
+        let stats = out.supervisor().stats();
+        let accounting_ok = stats.offered_clips == (count * opts.clips) as u64
+            && stats.served_clips + stats.shed_clips == stats.offered_clips
+            && stats.shed_queue_full
+                + stats.shed_deadline
+                + stats.shed_breaker
+                + stats.shed_failed
+                + stats.shed_closed
+                == stats.shed_clips;
+        let integrity_ok = integrity(out.events(), &expected);
+        if let Some(replay_ok) = replay_ok {
+            checkpoint_ok = replay_ok && integrity_ok;
+        }
 
-        let mut latencies: Vec<f64> = out.latencies.iter().map(|&t| t as f64).collect();
+        let mut latencies: Vec<f64> = out
+            .supervisor()
+            .latencies_ticks()
+            .iter()
+            .map(|&t| t as f64)
+            .collect();
         latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         rows.push(OverloadRow {
             sessions: count,
             load: count as f64 / saturation_sessions,
-            offered: out.stats.offered_clips,
-            served: out.stats.served_clips,
-            shed: out.stats.shed_clips,
-            shed_fraction: out.stats.shed_clips as f64 / out.stats.offered_clips.max(1) as f64,
+            offered: stats.offered_clips,
+            served: stats.served_clips,
+            shed: stats.shed_clips,
+            shed_fraction: stats.shed_clips as f64 / stats.offered_clips.max(1) as f64,
             p50_latency_ticks: quantile(&latencies, 0.5).unwrap_or(0.0),
             p99_latency_ticks: quantile(&latencies, 0.99).unwrap_or(0.0),
             integrity_ok,
             accounting_ok,
         });
-
-        // Checkpoint replay of the heaviest point: tear the supervisor
-        // down mid-clip into a serde snapshot, restore, and require the
-        // event stream and counters to be indistinguishable.
-        if count == heaviest && count > 0 {
-            let sample = clip_samples * 7 / 15; // mid-clip, partial buffers live
-            let clip = opts.clips.saturating_sub(1).min(1);
-            let replay = drive(&opts, count, &traces, &detector, None, Some((clip, sample)))?;
-            checkpoint_ok =
-                replay.events == out.events && replay.stats == out.stats && integrity_ok;
-        }
     }
 
     let registry = sink.registry();
@@ -268,10 +288,6 @@ pub fn run(opts: OverloadOpts) -> ExpResult<OverloadResult> {
     })
 }
 
-fn fresh_stream(detector: &Detector) -> ExpResult<StreamingDetector> {
-    Ok(StreamingDetector::new(detector.clone(), 15.0, 3)?)
-}
-
 fn serve_config(opts: &OverloadOpts, count: usize) -> ServeConfig {
     ServeConfig {
         max_sessions: count,
@@ -281,73 +297,6 @@ fn serve_config(opts: &OverloadOpts, count: usize) -> ServeConfig {
         deadline_ticks: opts.deadline_ticks,
         ..ServeConfig::default()
     }
-}
-
-/// Drives one supervisor over the given per-session workloads. When
-/// `checkpoint` is `Some((clip, sample))`, the supervisor is snapshotted
-/// through serde, dropped, and restored at that point of the stream.
-fn drive(
-    opts: &OverloadOpts,
-    count: usize,
-    traces: &[Vec<TracePair>],
-    detector: &Detector,
-    recorder: Option<&Recorder>,
-    checkpoint: Option<(usize, usize)>,
-) -> ExpResult<RunOutput> {
-    let mut sup = Supervisor::new(serve_config(opts, count))?;
-    if let Some(recorder) = recorder {
-        sup = sup.with_recorder(recorder.clone());
-    }
-    let mut ids = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = sup
-            .admit(fresh_stream(detector)?)
-            .session()
-            .ok_or("admission rejected below max_sessions")?;
-        ids.push(id);
-    }
-
-    let mut events = Vec::new();
-    for clip in 0..opts.clips {
-        let samples = traces
-            .first()
-            .and_then(|t| t.get(clip))
-            .map_or(0, |p| p.tx.samples().len());
-        for sample in 0..samples {
-            for (si, &id) in ids.iter().enumerate() {
-                let pair = &traces[si][clip];
-                sup.offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])?;
-            }
-            sup.tick();
-            if checkpoint == Some((clip, sample)) {
-                events.extend(sup.drain_events());
-                let config = sup.config().clone();
-                let snap = sup.snapshot();
-                let json = serde_json::to_string(&snap)?;
-                drop(sup); // the "crash"
-                let back: SupervisorSnapshot = serde_json::from_str(&json)?;
-                sup = Supervisor::restore(config, &back, |_| {
-                    StreamingDetector::new(detector.clone(), 15.0, 3)
-                })?;
-            }
-        }
-    }
-    // Idle ticks drain the queues: every pending clip is served or sheds
-    // on its deadline, so this terminates; the guard bounds it anyway.
-    let mut guard = 0u64;
-    while sup.pending_clips() > 0 {
-        sup.tick();
-        guard += 1;
-        if guard > 1_000_000 {
-            return Err("supervisor queues failed to drain".into());
-        }
-    }
-    events.extend(sup.drain_events());
-    Ok(RunOutput {
-        stats: sup.stats().clone(),
-        latencies: sup.latencies_ticks().to_vec(),
-        events,
-    })
 }
 
 /// Every served clip's outcome must equal the unloaded reference outcome

@@ -314,45 +314,15 @@ impl Fleet {
             .map_err(|e| Self::rescope(e, session))
     }
 
-    /// Advances every shard one tick (in shard order, single-threaded),
-    /// then runs the fleet barrier work: admission-bucket refill, the
-    /// work-stealing pass, and per-shard gauges. Returns the new tick.
-    ///
-    /// Deterministically equivalent to [`Fleet::step_shards`] with a
-    /// tick-only closure: shards share no state inside a tick, so serial
-    /// and threaded stepping produce identical runs.
+    /// Advances every shard one tick, in shard order, then runs the fleet
+    /// barrier work: admission-bucket refill, the work-stealing pass, and
+    /// per-shard gauges. Returns the new tick.
     // lint:hot-path
     pub fn tick(&mut self) -> u64 {
         let _span = self.recorder.span(stage::FLEET_TICK);
         for shard in &mut self.shards {
             shard.tick();
         }
-        self.finish_tick()
-    }
-
-    /// Advances the fleet one tick with one OS thread per shard: `step`
-    /// is called once per shard (with the shard index) and must drive
-    /// that shard's feed + tick for this round. The fleet barrier work
-    /// then runs on the calling thread, exactly as in [`Fleet::tick`].
-    ///
-    /// Shards are data-independent inside a tick and the barrier work is
-    /// sequential in shard order, so the run is deterministic regardless
-    /// of thread interleaving.
-    pub fn step_shards<F>(&mut self, step: F) -> u64
-    where
-        F: Fn(usize, &mut Supervisor) + Send + Sync,
-    {
-        std::thread::scope(|scope| {
-            for (index, shard) in self.shards.iter_mut().enumerate() {
-                let step = &step;
-                scope.spawn(move || step(index, shard));
-            }
-        });
-        self.finish_tick()
-    }
-
-    /// Post-tick barrier: bucket refill, stealing, gauges.
-    fn finish_tick(&mut self) -> u64 {
         self.bucket.refill();
         self.steal_pass();
         for (index, shard) in self.shards.iter().enumerate() {

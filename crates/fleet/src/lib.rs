@@ -24,10 +24,8 @@
 //!   CRC-framed [`CheckpointStore`](lumen_serve::CheckpointStore) and
 //!   restored shard-by-shard with per-session quarantine.
 //!
-//! Shards are data-independent inside a tick: [`Fleet::tick`] steps them
-//! serially (tests, parity checks), [`Fleet::step_shards`] steps them on
-//! one OS thread per shard (the experiment harness) — both produce
-//! byte-identical runs.
+//! [`Fleet::tick`] steps the shards serially, in shard order, on the
+//! caller's thread: the one stepping path, so every run is deterministic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,16 +1,14 @@
-//! Fleet runtime integration: admission tiers, stealing, accounting and
-//! composable checkpoint/restore.
+//! Fleet runtime integration: admission tiers, stealing and accounting.
+//! Checkpoint/restore replay is audited by the `fleet` experiment's
+//! snapshot check and the restore proptest in the root `tests/fleet.rs`.
 
 use lumen_chat::scenario::ScenarioBuilder;
 use lumen_chat::trace::TracePair;
 use lumen_core::detector::Detector;
 use lumen_core::stream::StreamingDetector;
 use lumen_core::Config;
-use lumen_fleet::{
-    AdmissionConfig, Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent, FleetSnapshot,
-};
-use lumen_obs::Recorder;
-use lumen_serve::{CheckpointStore, MemStorage, ServeConfig, StoreConfig};
+use lumen_fleet::{AdmissionConfig, Fleet, FleetAdmitOutcome, FleetConfig};
+use lumen_serve::ServeConfig;
 use std::sync::OnceLock;
 
 fn detector() -> Detector {
@@ -150,140 +148,4 @@ fn hot_shard_skew_triggers_stealing_and_keeps_the_ledger() {
         0,
         "skew setup leaked clips onto the idle shard"
     );
-}
-
-fn verdict_events(events: &[FleetEvent]) -> Vec<&FleetEvent> {
-    events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                lumen_serve::SessionEventKind::Verdict(_)
-                    | lumen_serve::SessionEventKind::Shed { .. }
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn mid_clip_restore_replays_byte_identical() {
-    let config = relaxed_fleet(2);
-    let p = pair(4242);
-    let samples: Vec<(f64, f64)> =
-        p.tx.samples()
-            .iter()
-            .zip(p.rx.samples())
-            .map(|(&tx, &rx)| (tx, rx))
-            .collect();
-    let cut = samples.len() / 2 + 3; // mid-clip, not on a boundary
-
-    // Reference: uninterrupted run.
-    let mut reference = Fleet::new(config.clone()).unwrap();
-    let sessions: Vec<u64> = (0..4u64)
-        .map(|k| reference.admit(k, stream()).session().expect("admitted"))
-        .collect();
-    let mut snapshot: Option<FleetSnapshot> = None;
-    for (i, &(tx, rx)) in samples.iter().enumerate() {
-        if i == cut {
-            snapshot = Some(reference.snapshot());
-        }
-        for &s in &sessions {
-            reference.offer(s, tx, rx).unwrap();
-        }
-        reference.tick();
-    }
-    for _ in 0..100 {
-        reference.tick();
-    }
-    let reference_events = reference.drain_events();
-
-    // Kill/restore at the cut, replay the tail through a store round-trip.
-    let mut store: CheckpointStore<MemStorage, FleetSnapshot> =
-        CheckpointStore::new(MemStorage::new(), StoreConfig::default()).unwrap();
-    store.commit(0, &snapshot.expect("cut inside run")).unwrap();
-    let (mut restored, report) = Fleet::restore_from_store(
-        config,
-        &mut store,
-        |_| StreamingDetector::new(detector(), 15.0, 3),
-        &Recorder::null(),
-    )
-    .unwrap();
-    assert_eq!(report.restored_sessions(), 4);
-    assert!(report.quarantined_sessions().is_empty());
-    for &(tx, rx) in &samples[cut..] {
-        for &s in &sessions {
-            restored.offer(s, tx, rx).unwrap();
-        }
-        restored.tick();
-    }
-    for _ in 0..100 {
-        restored.tick();
-    }
-    let restored_events = restored.drain_events();
-
-    // The restored run must replay the post-cut verdict stream
-    // byte-identically; the reference's early events (pre-cut) are a
-    // prefix, so compare the tails per session.
-    for &s in &sessions {
-        let all: Vec<_> = verdict_events(&reference_events)
-            .into_iter()
-            .filter(|e| e.session == s)
-            .cloned()
-            .collect();
-        let tail: Vec<_> = verdict_events(&restored_events)
-            .into_iter()
-            .filter(|e| e.session == s)
-            .cloned()
-            .collect();
-        assert!(
-            tail.len() <= all.len(),
-            "restored session {s} produced more verdicts than the reference"
-        );
-        assert_eq!(
-            &all[all.len() - tail.len()..],
-            &tail[..],
-            "session {s} diverged after restore"
-        );
-    }
-    assert!(restored.ledger().holds());
-}
-
-#[test]
-fn threaded_and_serial_stepping_agree() {
-    let config = relaxed_fleet(3);
-    let p = pair(99);
-    let samples: Vec<(f64, f64)> =
-        p.tx.samples()
-            .iter()
-            .zip(p.rx.samples())
-            .map(|(&tx, &rx)| (tx, rx))
-            .collect();
-
-    let run = |threaded: bool| -> (Vec<FleetEvent>, FleetSnapshot) {
-        let mut fleet = Fleet::new(config.clone()).unwrap();
-        let sessions: Vec<u64> = (0..6u64)
-            .map(|k| fleet.admit(k, stream()).session().expect("admitted"))
-            .collect();
-        for &(tx, rx) in &samples {
-            for &s in &sessions {
-                fleet.offer(s, tx, rx).unwrap();
-            }
-            if threaded {
-                fleet.step_shards(|_, shard| {
-                    shard.tick();
-                });
-            } else {
-                fleet.tick();
-            }
-        }
-        for _ in 0..60 {
-            fleet.tick();
-        }
-        (fleet.drain_events(), fleet.snapshot())
-    };
-
-    let (serial_events, serial_snap) = run(false);
-    let (threaded_events, threaded_snap) = run(true);
-    assert_eq!(serial_events, threaded_events);
-    assert_eq!(serial_snap, threaded_snap);
 }

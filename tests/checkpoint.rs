@@ -6,11 +6,14 @@
 //! survive the round trip through serde.
 
 use lumen::chat::fault::{BurstLoss, FaultPlan};
+use lumen::chat::feed::SampleFeed;
 use lumen::chat::scenario::ScenarioBuilder;
 use lumen::core::detector::{ClipOutcome, Detector};
 use lumen::core::quality::QualityGate;
 use lumen::core::stream::{ClipVerdict, StreamSnapshot, StreamingDetector};
 use lumen::core::Config;
+use lumen::experiments::replay::{Books, ReplayAudit, Restored, SupervisorReplay, Workload};
+use lumen::experiments::ExpResult;
 use lumen::serve::{ServeConfig, Supervisor, SupervisorSnapshot};
 
 fn heavy_burst() -> FaultPlan {
@@ -34,52 +37,92 @@ fn gated(detector: &Detector) -> StreamingDetector {
         .with_quality_gate(QualityGate::default())
 }
 
+/// `clips` consecutive degraded-link clips of one legitimate caller as
+/// one feed, and an audit that kills at sample 73 of every clip: mid-clip,
+/// with partial buffers, watchdog counters and vote history live.
+fn degraded_run(clips: usize) -> (SampleFeed, ReplayAudit) {
+    let degraded = ScenarioBuilder::default().with_faults(heavy_burst());
+    let pairs: Vec<_> = (0..clips)
+        .map(|clip| {
+            degraded
+                .legitimate(0, 71_000 + clip as u64)
+                .expect("degraded trace")
+        })
+        .collect();
+    let len = pairs[0].tx.samples().len();
+    let audit = ReplayAudit {
+        steps: clips * len,
+        kills: (0..clips).map(|clip| clip * len + 73).collect(),
+    };
+    (SampleFeed::from_pairs(&pairs).expect("one feed"), audit)
+}
+
+/// One gated stream fed sample by sample. A kill round-trips its
+/// `StreamSnapshot` through serde into a freshly built stream.
+struct StreamRun {
+    stream: StreamingDetector,
+    fresh: StreamingDetector,
+    feed: SampleFeed,
+    verdicts: Vec<ClipVerdict>,
+}
+
+impl Workload for StreamRun {
+    type Record = ClipVerdict;
+
+    fn step(&mut self, _: usize, books: &mut Books<ClipVerdict>) -> ExpResult<()> {
+        if let Some((tx, rx)) = self.feed.next_sample() {
+            if let Some(v) = self.stream.push(tx, rx)? {
+                books.record(0, v.clip_index, v.clone());
+                self.verdicts.push(v);
+            }
+        }
+        Ok(())
+    }
+
+    fn drain(&mut self, _: &mut Books<ClipVerdict>) -> ExpResult<()> {
+        Ok(())
+    }
+
+    fn kill_and_restore(&mut self, step: usize, _: &mut Books<ClipVerdict>) -> ExpResult<Restored> {
+        let snap = self.stream.snapshot();
+        let back: StreamSnapshot = serde_json::from_str(&serde_json::to_string(&snap)?)?;
+        assert_eq!(back, snap, "snapshot must round-trip through serde");
+        self.stream = self.fresh.clone();
+        self.stream.restore(&back)?;
+        Ok(Restored {
+            resume_step: step + 1,
+            quarantined: Vec::new(),
+        })
+    }
+
+    fn same_outcome(&self, reference: &Self) -> bool {
+        self.verdicts == reference.verdicts
+    }
+}
+
 #[test]
 fn faulty_stream_survives_mid_clip_checkpoints_verbatim() {
     const CLIPS: usize = 4;
     let detector = trained();
-    let degraded = ScenarioBuilder::default().with_faults(heavy_burst());
-
-    let mut straight = gated(&detector);
-    let mut cycled = gated(&detector);
-    let mut straight_verdicts: Vec<ClipVerdict> = Vec::new();
-    let mut cycled_verdicts: Vec<ClipVerdict> = Vec::new();
-
-    for clip in 0..CLIPS {
-        let pair = degraded
-            .legitimate(0, 71_000 + clip as u64)
-            .expect("degraded trace");
-        for i in 0..pair.tx.samples().len() {
-            let tx = pair.tx.samples()[i];
-            let rx = pair.rx.samples()[i];
-            if let Some(v) = straight.push(tx, rx).expect("push succeeds") {
-                straight_verdicts.push(v);
-            }
-            if let Some(v) = cycled.push(tx, rx).expect("push succeeds") {
-                cycled_verdicts.push(v);
-            }
-            // Mid-clip checkpoint: serialize, discard the runtime, restore
-            // into a freshly built detector.
-            if i == 73 {
-                let snap = cycled.snapshot();
-                let json = serde_json::to_string(&snap).expect("snapshot serializes");
-                let back: StreamSnapshot = serde_json::from_str(&json).expect("snapshot decodes");
-                assert_eq!(back, snap, "snapshot must round-trip through serde");
-                cycled = gated(&detector);
-                cycled.restore(&back).expect("restore succeeds");
-            }
-        }
-    }
-
-    assert_eq!(
-        cycled_verdicts, straight_verdicts,
-        "checkpoint cycles changed the verdict stream"
+    let (feed, audit) = degraded_run(CLIPS);
+    let run = || StreamRun {
+        stream: gated(&detector),
+        fresh: gated(&detector),
+        feed: feed.clone(),
+        verdicts: Vec::new(),
+    };
+    let (mut straight, mut cycled) = (run(), run());
+    let report = audit.run(&mut straight, &mut cycled).expect("audit runs");
+    assert!(
+        report.ok(),
+        "checkpoint cycles changed the verdict stream: {report:?}"
     );
-    assert_eq!(straight_verdicts.len(), CLIPS);
+    assert_eq!(straight.verdicts.len(), CLIPS);
     // The degraded link must actually exercise the abstention path, or
     // the watchdog state this test protects was never populated.
     assert!(
-        straight_verdicts
+        straight
+            .verdicts
             .iter()
             .any(|v| matches!(v.outcome, ClipOutcome::Inconclusive(_))),
         "burst faults produced no inconclusive clip; the check is vacuous"
@@ -90,7 +133,6 @@ fn faulty_stream_survives_mid_clip_checkpoints_verbatim() {
 fn supervised_faulty_session_replays_identically_after_restore() {
     const CLIPS: usize = 3;
     let detector = trained();
-    let degraded = ScenarioBuilder::default().with_faults(heavy_burst());
     let config = ServeConfig {
         max_sessions: 1,
         budget_clips: 1,
@@ -98,54 +140,21 @@ fn supervised_faulty_session_replays_identically_after_restore() {
         deadline_ticks: 10_000,
         ..ServeConfig::default()
     };
-
-    let mut straight = Supervisor::new(config.clone()).expect("valid config");
-    let mut cycled = Supervisor::new(config.clone()).expect("valid config");
-    let id = straight
-        .admit(gated(&detector))
-        .session()
-        .expect("admitted");
-    assert_eq!(cycled.admit(gated(&detector)).session(), Some(id));
-    // Events drained before a checkpoint are the caller's to keep: the
-    // snapshot carries session state, not the already-reported stream.
-    let mut cycled_events = Vec::new();
-
-    for clip in 0..CLIPS {
-        let pair = degraded
-            .legitimate(0, 71_000 + clip as u64)
-            .expect("degraded trace");
-        for i in 0..pair.tx.samples().len() {
-            let tx = pair.tx.samples()[i];
-            let rx = pair.rx.samples()[i];
-            straight.offer(id, tx, rx).expect("offer succeeds");
-            cycled.offer(id, tx, rx).expect("offer succeeds");
-            straight.tick();
-            cycled.tick();
-            if i == 73 {
-                cycled_events.extend(cycled.drain_events());
-                let snap = cycled.snapshot();
-                let json = serde_json::to_string(&snap).expect("snapshot serializes");
-                drop(cycled);
-                let back: SupervisorSnapshot =
-                    serde_json::from_str(&json).expect("snapshot decodes");
-                cycled = Supervisor::restore(config.clone(), &back, |_| Ok(gated(&detector)))
-                    .expect("restore succeeds");
-            }
-        }
-    }
-    while straight.pending_clips() > 0 || cycled.pending_clips() > 0 {
-        straight.tick();
-        cycled.tick();
-    }
-
-    cycled_events.extend(cycled.drain_events());
-    assert_eq!(
-        cycled_events,
-        straight.drain_events(),
-        "restored supervisor diverged from the uninterrupted one"
+    let (feed, audit) = degraded_run(CLIPS);
+    let run = || {
+        let sup = Supervisor::new(config.clone()).expect("valid config");
+        SupervisorReplay::new(sup, &gated(&detector), vec![feed.clone()]).expect("admitted")
+    };
+    let (mut straight, mut cycled) = (run(), run());
+    // Events drained before a kill are the caller's to keep, so the whole
+    // event stream and the counters must match the uninterrupted run.
+    let report = audit.run(&mut straight, &mut cycled).expect("audit runs");
+    assert!(
+        report.ok(),
+        "restored supervisor diverged from the uninterrupted one: {report:?}"
     );
-    assert_eq!(cycled.stats(), straight.stats());
-    assert_eq!(straight.stats().offered_clips, CLIPS as u64);
+    assert_eq!(report.subject_records, CLIPS as u64);
+    assert_eq!(straight.supervisor().stats().offered_clips, CLIPS as u64);
 }
 
 #[test]

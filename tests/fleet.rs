@@ -3,14 +3,15 @@
 //! of shard count, and the work-stealing conservation ledger holds on
 //! every tick under seeded hot-shard skew.
 
+use lumen::chat::feed::SampleFeed;
 use lumen::chat::scenario::ScenarioBuilder;
 use lumen::chat::trace::TracePair;
 use lumen::core::detector::Detector;
-use lumen::core::stream::{ClipVerdict, StreamingDetector};
+use lumen::core::stream::StreamingDetector;
 use lumen::core::Config;
-use lumen::fleet::{AdmissionConfig, Fleet, FleetConfig, FleetEvent, FleetSnapshot};
-use lumen::obs::Recorder;
-use lumen::serve::{ServeConfig, SessionEventKind};
+use lumen::experiments::replay::{FleetReplay, ReplayAudit};
+use lumen::fleet::{AdmissionConfig, Fleet, FleetConfig};
+use lumen::serve::ServeConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -59,25 +60,14 @@ fn relaxed(shards: usize, seed: u64, sessions: usize) -> FleetConfig {
     }
 }
 
-fn verdicts_of(events: &[FleetEvent], session: u64) -> Vec<ClipVerdict> {
-    events
-        .iter()
-        .filter(|e| e.session == session)
-        .filter_map(|e| match &e.kind {
-            SessionEventKind::Verdict(v) => Some(v.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A fleet killed mid-clip into a serde-round-tripped
-    /// [`FleetSnapshot`] and restored shard-by-shard replays every
-    /// never-quarantined session byte-identically to the uninterrupted
-    /// run — whatever the shard count, wherever the cut, and even when
-    /// one shard's snapshot entry rots and its session is quarantined.
+    /// A fleet killed mid-clip into the checkpoint store and restored
+    /// shard-by-shard replays every never-quarantined session
+    /// byte-identically to the uninterrupted run — whatever the shard
+    /// count, wherever the cut, and even when one session's snapshot
+    /// entry rots and the restore quarantines it.
     #[test]
     fn restore_is_byte_identical_for_unquarantined_sessions(
         shards in 1usize..=4,
@@ -90,104 +80,28 @@ proptest! {
         let config = relaxed(shards, seed, SESSIONS);
         let shortest = pool().iter().map(|p| p.tx.samples().len()).min().unwrap_or(0);
         prop_assert!(shortest > 140, "pool traces must cover one clip");
-        let total = shortest.min(160);
-
-        // Uninterrupted reference.
-        let mut straight = Fleet::new(config.clone()).expect("valid config");
-        let ids: Vec<u64> = (0..SESSIONS as u64)
-            .map(|k| straight.admit(k, stream()).session().expect("admitted"))
+        let feeds: Vec<_> = (0..SESSIONS)
+            .map(|si| SampleFeed::new(&pool()[si % pool().len()]).expect("one feed"))
             .collect();
-        let feed = |fleet: &mut Fleet, skip: Option<u64>, range: std::ops::Range<usize>| {
-            for sample in range {
-                for (si, &id) in ids.iter().enumerate() {
-                    if Some(id) == skip {
-                        continue;
-                    }
-                    let pair = &pool()[si % pool().len()];
-                    fleet
-                        .offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])
-                        .expect("offer succeeds");
-                }
-                fleet.tick();
-            }
-            let mut guard = 0u32;
-            while fleet.pending_clips() > 0 {
-                fleet.tick();
-                guard += 1;
-                assert!(guard < 100_000, "fleet failed to drain");
-            }
-        };
-        // NB: the closure captures `ids` immutably; drive both runs with it.
-        feed(&mut straight, None, 0..total);
-        let straight_events = straight.drain_events();
 
-        // Interrupted run: identical feed up to the cut, then a crash.
-        let mut cycled = Fleet::new(config.clone()).expect("valid config");
-        for (k, &expect) in ids.iter().enumerate() {
-            prop_assert_eq!(
-                cycled.admit(k as u64, stream()).session(),
-                Some(expect),
-                "placement must be deterministic"
-            );
+        let mut straight = FleetReplay::new(config.clone(), &stream(), feeds.clone()).expect("admitted");
+        let mut cycled = FleetReplay::new(config, &stream(), feeds).expect("admitted");
+        if rot {
+            cycled = cycled.rot(rotted);
         }
-        for sample in 0..cut {
-            for (si, &id) in ids.iter().enumerate() {
-                let pair = &pool()[si % pool().len()];
-                cycled
-                    .offer(id, pair.tx.samples()[sample], pair.rx.samples()[sample])
-                    .expect("offer succeeds");
-            }
-            cycled.tick();
-        }
-        let mut snap = cycled.snapshot();
-        let json = serde_json::to_string(&snap).expect("snapshot serializes");
-        let back: FleetSnapshot = serde_json::from_str(&json).expect("snapshot decodes");
-        prop_assert_eq!(&back, &snap, "fleet snapshot must round-trip through serde");
-        drop(cycled); // the "crash"
-
-        // Optionally rot one session's entry in its shard's snapshot.
-        let rotted_id = ids[rotted % ids.len()];
-        let quarantined = if rot {
-            let shard = (rotted_id % shards as u64) as usize;
-            let local = rotted_id / shards as u64;
-            let slot = snap.shards[shard]
-                .sessions
-                .iter_mut()
-                .find(|s| s.id == local)
-                .expect("session present in its shard snapshot");
-            slot.partial_rx.push(0.0);
-            Some(rotted_id)
-        } else {
-            None
-        };
-
-        let (mut restored, report) = Fleet::restore_with_report(
-            config,
-            &snap,
-            |_| Ok(stream()),
-            &Recorder::null(),
-        )
-        .expect("restore succeeds");
-        prop_assert_eq!(report.quarantined_sessions(), quarantined.into_iter().collect::<Vec<_>>());
-        feed(&mut restored, quarantined, cut..total);
-        let restored_events = restored.drain_events();
-
-        for &id in &ids {
-            if Some(id) == quarantined {
-                continue;
-            }
-            prop_assert_eq!(
-                verdicts_of(&restored_events, id),
-                verdicts_of(&straight_events, id),
-                "session {} diverged after restore (shards={}, cut={})",
-                id,
-                shards,
-                cut
-            );
-        }
-        if quarantined.is_none() {
-            prop_assert_eq!(restored.shard_stats(), straight.shard_stats());
-        }
+        // The crash lands after `cut` samples of every session.
+        let audit = ReplayAudit { steps: shortest.min(160), kills: vec![cut - 1] };
+        let report = audit.run(&mut straight, &mut cycled).expect("audit runs");
+        prop_assert_eq!(&report.exempt, &rot.then_some(rotted).into_iter().collect::<Vec<_>>());
+        prop_assert!(
+            report.misrestores == 0 && report.books_match(),
+            "a session diverged after restore (shards={}, cut={}): {:?}",
+            shards,
+            cut,
+            report
+        );
+        // Unrotted, the event stream and the shard counters match too.
+        prop_assert!(rot || report.outcome_ok, "{:?}", report);
     }
 }
 
