@@ -411,22 +411,17 @@ fn run_suite(label: &str) -> Result<BenchReport, String> {
 
     // Macro: the Sec. IX per-stage breakdown — the overhead experiment's
     // stage spans, over enough detections of the standard legitimate and
-    // attack clips that a stage's p99 is not its slowest span. They are
-    // timed on this thread: the experiment's workers fill every core, and
-    // on a 2-core host about 5 % of their spans then wait out a 4-ms
-    // scheduler slice, which would set every p99 row.
+    // attack clips that a stage's p99 is not its slowest span.
     eprintln!("[lumen-bench] macro: per-stage spans");
-    let (recorder, sink) = Recorder::in_memory();
-    let staged = trained_detector().with_recorder(recorder);
-    let clips = [standard_pair(), attack_pair()];
-    for i in 0..STAGE_SPANS {
-        staged
-            .detect(&clips[i % 2])
-            .map_err(|e| format!("stage spans: {e}"))?;
-    }
-    let spans = sink.registry().snapshot().spans;
+    let staged = overhead::time_stages(
+        &trained_detector(),
+        &[standard_pair(), attack_pair()],
+        STAGE_SPANS,
+    )
+    .map_err(|e| format!("stage spans: {e}"))?;
     for name in overhead::STAGES {
-        let row = spans
+        let row = staged
+            .stages
             .iter()
             .find(|s| s.name == *name)
             .ok_or(format!("stage spans: no `{name}` span"))?;

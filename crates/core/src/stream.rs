@@ -29,7 +29,8 @@ pub enum SessionStatus {
     Alert,
 }
 
-/// One event emitted by [`StreamingDetector::push`].
+/// One clip's verdict, from [`StreamingDetector::push`] or
+/// [`StreamingDetector::push_clip`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClipVerdict {
     /// Index of the completed clip (0-based).
@@ -145,8 +146,10 @@ impl StreamingDetector {
             detector,
             clip_samples,
             window,
-            tx_buffer: Vec::with_capacity(clip_samples),
-            rx_buffer: Vec::with_capacity(clip_samples),
+            // Allocated on the first `push`: a stream fed whole clips
+            // through `push_clip` never buffers a sample.
+            tx_buffer: Vec::new(),
+            rx_buffer: Vec::new(),
             history: VecDeque::with_capacity(window),
             clips_done: 0,
             last_status: SessionStatus::Gathering,
@@ -231,7 +234,7 @@ impl StreamingDetector {
 
     /// Feeds one tick: the transmitted-video luminance and the received
     /// ROI luminance for the same instant. Returns a verdict when this tick
-    /// completes a clip.
+    /// completes a clip, which [`StreamingDetector::push_clip`] judges.
     ///
     /// # Errors
     ///
@@ -240,33 +243,60 @@ impl StreamingDetector {
     /// the gate to judge. Detection errors propagate either way.
     pub fn push(&mut self, tx_luma: f64, rx_luma: f64) -> Result<Option<ClipVerdict>> {
         if self.gate.is_none() && (!tx_luma.is_finite() || !rx_luma.is_finite()) {
-            // lint:allow(span-early-exit): the vote-fusion span measures
-            // only fused-status computation; rejected samples never reach it
             return Err(CoreError::invalid_config(
                 "sample",
                 "luminance samples must be finite",
             ));
         }
-        let clamp = |v: f64| {
-            if v.is_finite() {
-                v.clamp(0.0, 255.0)
-            } else {
-                v
-            }
-        };
         self.tx_buffer.push(clamp(tx_luma));
         self.rx_buffer.push(clamp(rx_luma));
         if self.tx_buffer.len() < self.clip_samples {
             return Ok(None);
         }
+        let tx = std::mem::take(&mut self.tx_buffer);
+        let rx = std::mem::take(&mut self.rx_buffer);
+        self.push_clip(tx, rx).map(Some)
+    }
+
+    /// Judges one complete clip and fuses its verdict. The clip's vote,
+    /// the watchdog and the clip count change only when the clip is
+    /// judged; on `Err` the stream is as it was. The partial clip that
+    /// [`StreamingDetector::push`] buffers is not touched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] when `tx` or `rx` is not
+    /// [`StreamingDetector::clip_samples`] long and, without a quality
+    /// gate, for non-finite samples. Detection errors propagate.
+    pub fn push_clip(&mut self, mut tx: Vec<f64>, mut rx: Vec<f64>) -> Result<ClipVerdict> {
+        if tx.len() != self.clip_samples || rx.len() != self.clip_samples {
+            // lint:allow(span-early-exit): the vote-fusion span measures
+            // only fused-status computation; a rejected clip never reaches it
+            return Err(CoreError::invalid_config(
+                "clip",
+                format!(
+                    "{} tx and {} rx samples do not make a {}-sample clip",
+                    tx.len(),
+                    rx.len(),
+                    self.clip_samples
+                ),
+            ));
+        }
+        if self.gate.is_none() && tx.iter().chain(&rx).any(|v| !v.is_finite()) {
+            return Err(CoreError::invalid_config(
+                "sample",
+                "luminance samples must be finite",
+            ));
+        }
+        for v in tx.iter_mut().chain(rx.iter_mut()) {
+            *v = clamp(*v);
+        }
         let rate = self.detector.config().sample_rate;
-        let tx_raw = std::mem::take(&mut self.tx_buffer);
-        let rx_raw = std::mem::take(&mut self.rx_buffer);
         let recorder = self.detector.recorder().clone();
         // Everything from judgement to verdict is attributed to this clip
         // in the event stream's trace context.
         let _clip_scope = recorder.clip_scope(self.clips_done as u64);
-        let outcome = self.judge_clip(tx_raw, rx_raw, rate)?;
+        let outcome = self.judge_clip(tx, rx, rate)?;
         let mut retrigger = false;
         match outcome.accepted() {
             Some(accepted) => {
@@ -298,12 +328,12 @@ impl StreamingDetector {
             );
             self.last_status = status;
         }
-        Ok(Some(ClipVerdict {
+        Ok(ClipVerdict {
             clip_index,
             outcome,
             status,
             retrigger,
-        }))
+        })
     }
 
     /// Judges one complete clip from its raw buffers: gate (when enabled),
@@ -510,6 +540,16 @@ impl StreamingDetector {
     }
 }
 
+/// Clamps a finite sample into the 8-bit luminance range; a non-finite
+/// one is left for the quality gate to judge.
+fn clamp(v: f64) -> f64 {
+    if v.is_finite() {
+        v.clamp(0.0, 255.0)
+    } else {
+        v
+    }
+}
+
 /// Serializable snapshot of a [`StreamingDetector`]'s mutable session
 /// state (the trained model is reconstructed separately on restore — see
 /// [`StreamingDetector::snapshot`]).
@@ -664,6 +704,39 @@ mod tests {
         let mut stream = StreamingDetector::new(detector(), 15.0, 3).unwrap();
         assert!(stream.push(f64::NAN, 100.0).is_err());
         assert!(stream.push(100.0, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn push_clip_commits_only_on_success() {
+        let chats = ScenarioBuilder::default();
+        let mut stream = StreamingDetector::new(detector(), 15.0, 3).unwrap();
+        feed(&mut stream, &chats.legitimate(0, 94_000).unwrap());
+        let pair = chats.legitimate(0, 94_001).unwrap();
+        let n = stream.clip_samples();
+        let (tx, rx) = (
+            pair.tx.samples()[..n].to_vec(),
+            pair.rx.samples()[..n].to_vec(),
+        );
+        // A partial clip sits in the per-sample buffer throughout.
+        for (t, r) in tx[..20].iter().zip(&rx[..20]) {
+            assert!(stream.push(*t, *r).unwrap().is_none());
+        }
+        let before = stream.snapshot();
+        let short = stream.push_clip(tx[..n - 1].to_vec(), rx[..n - 1].to_vec());
+        assert!(short.is_err(), "one sample short is not a clip");
+        assert_eq!(stream.snapshot(), before);
+        let mut poisoned = rx.clone();
+        poisoned[70] = f64::NAN;
+        assert!(
+            stream.push_clip(tx.clone(), poisoned).is_err(),
+            "NaN without a gate"
+        );
+        assert_eq!(stream.snapshot(), before);
+        let verdict = stream.push_clip(tx, rx).unwrap();
+        assert_eq!(verdict.clip_index, 1);
+        let after = stream.snapshot();
+        assert_eq!((after.clips_done, after.history.len()), (2, 2));
+        assert_eq!(after.tx_buffer, before.tx_buffer, "the partial clip stays");
     }
 
     fn gated(window: usize) -> StreamingDetector {

@@ -43,7 +43,7 @@ use lumen_serve::{
     AdmitOutcome, BreakerTransition, CheckpointStore, CommitOutcome, MemStorage, RestoreReport,
     ServeConfig, ServeStats, SessionEventKind, ShardBreakdown, Storage, Supervisor,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Builds a fresh trained streaming detector for a session. Called with
@@ -157,14 +157,16 @@ struct Peer {
     conn: Conn,
     decoder: Decoder,
     bucket: TokenBucket,
-    sessions: BTreeSet<u64>,
     last_rx_turn: u64,
     partial_since: Option<u64>,
     rate_limited: u32,
     closing: bool,
 }
 
-/// The `lumend` daemon: listener, peers, supervisor, store.
+/// The `lumend` daemon: listener, peers, supervisor, store. The
+/// supervisor owns every session's state; the daemon keeps only what is
+/// about connections: which peer a session is bound to, and the frames
+/// parked for a session no peer holds.
 pub struct Daemon<S: Storage = MemStorage> {
     config: DaemonConfig,
     listener: Listener,
@@ -177,18 +179,12 @@ pub struct Daemon<S: Storage = MemStorage> {
     next_peer: u64,
     /// session → peer currently bound to it.
     bound: BTreeMap<u64, u64>,
-    /// session → samples ingested (the client's resume point).
-    ingested: BTreeMap<u64, u64>,
-    /// Sessions the restore quarantined; resumes are refused.
-    quarantined: BTreeSet<u64>,
     /// Encoded frames awaiting a resumed connection, per session.
     parked: BTreeMap<u64, VecDeque<Vec<u8>>>,
     recorder: Recorder,
     flight: Option<Arc<FlightSink>>,
     turn: u64,
-    next_session_mirror: u64,
     stats: WireStats,
-    draining: bool,
     drained: bool,
     final_generation: Option<u64>,
 }
@@ -197,6 +193,8 @@ impl<S: Storage> Daemon<S> {
     /// A daemon around an already-configured supervisor, bound to an
     /// ephemeral loopback port. When the supervisor carries a flight
     /// recorder, the daemon's own counters flow into the same registry.
+    /// The supervisor is usually empty; the sessions of a non-empty one
+    /// are unbound and can resume, as after [`Daemon::restore_from_store`].
     ///
     /// # Errors
     ///
@@ -213,7 +211,6 @@ impl<S: Storage> Daemon<S> {
             Some(f) => Recorder::new(f.clone() as Arc<dyn Sink>),
             None => Recorder::null(),
         };
-        let next_session_mirror = sup.snapshot().next_id;
         Ok(Daemon {
             config,
             listener,
@@ -225,15 +222,11 @@ impl<S: Storage> Daemon<S> {
             peers: BTreeMap::new(),
             next_peer: 0,
             bound: BTreeMap::new(),
-            ingested: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
             parked: BTreeMap::new(),
             recorder,
             flight,
             turn: 0,
-            next_session_mirror,
             stats: WireStats::default(),
-            draining: false,
             drained: false,
             final_generation: None,
         })
@@ -241,16 +234,15 @@ impl<S: Storage> Daemon<S> {
 
     /// Restarts a daemon from the newest valid checkpoint generation in
     /// `store` — the crash-recovery path of the soak. Sessions that fail
-    /// validation are quarantined (their resumes refused, so their clients
-    /// re-admit fresh); everything else resumes exactly where the
-    /// checkpoint left it, with per-session resume points recomputed from
-    /// the restored snapshot.
+    /// validation are quarantined: the supervisor does not know them, so
+    /// their resumes are refused and their clients re-admit fresh.
+    /// Everything else resumes exactly where the checkpoint left it, at
+    /// [`Supervisor::samples_offered`].
     ///
     /// # Errors
     ///
     /// Returns [`DaemonError::Serve`] when no stored generation survives
-    /// validation, [`DaemonError::Core`] when the detector factory fails,
-    /// and [`DaemonError::Io`] for listener failures.
+    /// validation, and [`DaemonError::Io`] for listener failures.
     pub fn restore_from_store(
         serve_config: ServeConfig,
         mut store: CheckpointStore<S>,
@@ -265,24 +257,7 @@ impl<S: Storage> Daemon<S> {
             Some(fc) => sup.with_flight(fc),
             None => sup,
         };
-        // The resume point of every surviving session is derivable from
-        // its snapshot alone: resolved clips + queued entries (clips and
-        // tombstones both consumed their samples) + the partial clip.
-        let clip_samples = factory(u64::MAX)?.clip_samples() as u64;
-        let snap = sup.snapshot();
-        let mut daemon = Daemon::new(sup, factory, config, Some(store))?;
-        for s in &snap.sessions {
-            let resumed = (s.stream.clips_done as u64 + s.queue.len() as u64) * clip_samples
-                + s.partial_tx.len() as u64;
-            daemon.ingested.insert(s.id, resumed);
-            daemon.parked.insert(s.id, VecDeque::new());
-        }
-        daemon.next_session_mirror = snap.next_id;
-        for q in &report.quarantined {
-            daemon.quarantined.insert(q.id);
-            daemon.ingested.remove(&q.id);
-            daemon.parked.remove(&q.id);
-        }
+        let daemon = Daemon::new(sup, factory, config, Some(store))?;
         daemon.recorder.add("daemon.restores", 1);
         Ok((daemon, report))
     }
@@ -328,7 +303,7 @@ impl<S: Storage> Daemon<S> {
 
     /// Whether [`Daemon::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
-        self.draining
+        self.sup.is_draining()
     }
 
     /// Whether the drain has completed (the daemon is inert).
@@ -369,8 +344,7 @@ impl<S: Storage> Daemon<S> {
     /// in-flight clips keep being served. [`Daemon::turn_once`] completes the
     /// drain once the queues are empty.
     pub fn begin_drain(&mut self) {
-        if !self.draining {
-            self.draining = true;
+        if !self.sup.is_draining() {
             self.sup.begin_drain();
             self.recorder.mark("daemon.drain", "begin");
         }
@@ -427,13 +401,13 @@ impl<S: Storage> Daemon<S> {
         }
         self.route_events();
         self.enforce_deadlines();
-        if !self.draining
+        if !self.sup.is_draining()
             && self.config.checkpoint_every_turns > 0
             && self.turn.is_multiple_of(self.config.checkpoint_every_turns)
         {
             self.checkpoint();
         }
-        if self.draining && self.sup.pending_clips() == 0 {
+        if self.sup.is_draining() && self.sup.pending_clips() == 0 {
             self.finish_drain();
         }
         self.flush_and_reap()?;
@@ -442,7 +416,7 @@ impl<S: Storage> Daemon<S> {
 
     fn accept_pending(&mut self) -> Result<()> {
         while let Some(mut conn) = self.listener.accept()? {
-            if self.draining {
+            if self.sup.is_draining() {
                 conn.queue(
                     &Frame::Goodbye {
                         cause: DisconnectCause::Draining,
@@ -466,7 +440,6 @@ impl<S: Storage> Daemon<S> {
                         self.config.bucket_capacity,
                         self.config.bucket_refill,
                     ),
-                    sessions: BTreeSet::new(),
                     last_rx_turn: self.turn,
                     partial_since: None,
                     rate_limited: 0,
@@ -508,7 +481,7 @@ impl<S: Storage> Daemon<S> {
                     }
                     Ok(None) => break,
                     Err(err) => {
-                        self.reject_malformed(&mut peer, &err);
+                        self.reject_malformed(pid, &mut peer, &err);
                         break;
                     }
                 }
@@ -520,7 +493,7 @@ impl<S: Storage> Daemon<S> {
             };
         }
         if closed {
-            self.release_peer_sessions(&mut peer);
+            self.release_peer_sessions(pid);
             self.recorder.add("daemon.peer_closed", 1);
         } else {
             self.peers.insert(pid, peer);
@@ -539,7 +512,7 @@ impl<S: Storage> Daemon<S> {
                 self.stats.abuse_disconnects += 1;
                 self.recorder.add("daemon.abuse_disconnects", 1);
                 self.flight_trigger("client_abuse");
-                self.condemn(peer, DisconnectCause::RateLimitAbuse);
+                self.condemn(pid, peer, DisconnectCause::RateLimitAbuse);
                 return true;
             }
             self.reject(peer, RejectCode::RateLimited);
@@ -548,15 +521,15 @@ impl<S: Storage> Daemon<S> {
         match frame {
             Frame::Hello => self.on_hello(pid, peer),
             Frame::Resume { session } => self.on_resume(pid, peer, session),
-            Frame::Sample { session, tx, rx } => self.on_sample(peer, session, tx, rx),
-            Frame::Bye { session } => self.on_bye(peer, session),
+            Frame::Sample { session, tx, rx } => self.on_sample(pid, peer, session, tx, rx),
+            Frame::Bye { session } => self.on_bye(pid, peer, session),
             Frame::Ping { nonce } => peer.conn.queue(&Frame::Pong { nonce }.encode()),
             Frame::MetricsRequest => {
                 let json = self.metrics_json().into_bytes();
                 peer.conn.queue(&Frame::Metrics { json }.encode());
             }
             Frame::ProbeResponse { session, response } => {
-                self.on_probe_response(peer, session, response)
+                self.on_probe_response(pid, peer, session, response)
             }
             Frame::Shutdown => self.begin_drain(),
             // Server-role frames arriving from a client are a protocol
@@ -576,7 +549,7 @@ impl<S: Storage> Daemon<S> {
             | Frame::Goodbye { .. } => {
                 self.stats.malformed_disconnects += 1;
                 self.recorder.add("daemon.frames_rejected.role", 1);
-                self.condemn(peer, DisconnectCause::Malformed);
+                self.condemn(pid, peer, DisconnectCause::Malformed);
                 return true;
             }
         }
@@ -584,7 +557,7 @@ impl<S: Storage> Daemon<S> {
     }
 
     fn on_hello(&mut self, pid: u64, peer: &mut Peer) {
-        if self.draining {
+        if self.sup.is_draining() {
             self.stats.refused_admissions += 1;
             peer.conn.queue(
                 &Frame::Refused {
@@ -604,7 +577,7 @@ impl<S: Storage> Daemon<S> {
         };
         let outcome = match &self.probe_policy {
             Some(policy) => {
-                let seed = self.probe_seed ^ self.next_session_mirror;
+                let seed = self.probe_seed ^ self.sup.next_id();
                 match ProbeDirector::new(*policy, seed) {
                     Ok(director) => self.sup.admit_probed(stream, director),
                     Err(_) => {
@@ -617,10 +590,7 @@ impl<S: Storage> Daemon<S> {
         };
         match outcome {
             AdmitOutcome::Admitted { session } => {
-                self.next_session_mirror = session + 1;
                 self.bound.insert(session, pid);
-                peer.sessions.insert(session);
-                self.ingested.insert(session, 0);
                 self.stats.welcomes += 1;
                 self.recorder.add("daemon.welcomes", 1);
                 peer.conn.queue(&Frame::Welcome { session }.encode());
@@ -634,29 +604,21 @@ impl<S: Storage> Daemon<S> {
     }
 
     fn on_resume(&mut self, pid: u64, peer: &mut Peer, session: u64) {
-        if self.draining || self.quarantined.contains(&session) {
-            self.stats.resume_rejections += 1;
-            self.recorder.add("daemon.resume_rejections", 1);
-            peer.conn.queue(&Frame::ResumeRejected { session }.encode());
-            return;
-        }
-        // A session bound to a *live* connection cannot be re-claimed: a
-        // replayed admission (THREAT_MODEL §network adversary) must not
-        // hijack or duplicate an active verdict stream.
-        if self.bound.contains_key(&session) {
-            self.stats.resume_rejections += 1;
-            self.recorder.add("daemon.resume_rejections", 1);
-            peer.conn.queue(&Frame::ResumeRejected { session }.encode());
-            return;
-        }
-        let Some(&next_sample) = self.ingested.get(&session) else {
-            self.stats.resume_rejections += 1;
-            self.recorder.add("daemon.resume_rejections", 1);
-            peer.conn.queue(&Frame::ResumeRejected { session }.encode());
-            return;
+        // Only a session the supervisor knows can resume: a quarantined or
+        // released one is gone. A session bound to a *live* connection
+        // cannot be re-claimed either: a replayed admission (THREAT_MODEL
+        // §network adversary) must not hijack or duplicate an active
+        // verdict stream.
+        let next_sample = match self.sup.samples_offered(session) {
+            Ok(next) if !self.sup.is_draining() && !self.bound.contains_key(&session) => next,
+            _ => {
+                self.stats.resume_rejections += 1;
+                self.recorder.add("daemon.resume_rejections", 1);
+                peer.conn.queue(&Frame::ResumeRejected { session }.encode());
+                return;
+            }
         };
         self.bound.insert(session, pid);
-        peer.sessions.insert(session);
         self.stats.resumes += 1;
         self.recorder.add("daemon.resumes", 1);
         peer.conn.queue(
@@ -673,19 +635,15 @@ impl<S: Storage> Daemon<S> {
         }
     }
 
-    fn on_sample(&mut self, peer: &mut Peer, session: u64, tx: f64, rx: f64) {
-        if !peer.sessions.contains(&session) {
+    fn on_sample(&mut self, pid: u64, peer: &mut Peer, session: u64, tx: f64, rx: f64) {
+        if self.bound.get(&session) != Some(&pid) {
             self.reject(peer, RejectCode::UnknownSession);
             return;
         }
+        // Shed clips surface later as typed tombstone events in the
+        // verdict stream; the sample itself was consumed.
         match self.sup.offer(session, tx, rx) {
-            Ok(_admission) => {
-                // Shed clips surface later as typed tombstone events in
-                // the verdict stream; the sample itself was consumed.
-                if let Some(count) = self.ingested.get_mut(&session) {
-                    *count += 1;
-                }
-            }
+            Ok(_admission) => {}
             Err(_) => {
                 self.recorder.add("daemon.offer_failures", 1);
                 self.reject(peer, RejectCode::Refused);
@@ -693,13 +651,12 @@ impl<S: Storage> Daemon<S> {
         }
     }
 
-    fn on_bye(&mut self, peer: &mut Peer, session: u64) {
-        if !peer.sessions.remove(&session) {
+    fn on_bye(&mut self, pid: u64, peer: &mut Peer, session: u64) {
+        if self.bound.get(&session) != Some(&pid) {
             self.reject(peer, RejectCode::UnknownSession);
             return;
         }
         self.bound.remove(&session);
-        self.ingested.remove(&session);
         self.parked.remove(&session);
         match self.sup.release(session) {
             Ok(()) => self.recorder.add("daemon.byes", 1),
@@ -707,8 +664,8 @@ impl<S: Storage> Daemon<S> {
         }
     }
 
-    fn on_probe_response(&mut self, peer: &mut Peer, session: u64, response: WireTrace) {
-        if !peer.sessions.contains(&session) {
+    fn on_probe_response(&mut self, pid: u64, peer: &mut Peer, session: u64, response: WireTrace) {
+        if self.bound.get(&session) != Some(&pid) {
             self.reject(peer, RejectCode::UnknownSession);
             return;
         }
@@ -748,7 +705,7 @@ impl<S: Storage> Daemon<S> {
         peer.conn.queue(&Frame::Reject { code }.encode());
     }
 
-    fn reject_malformed(&mut self, peer: &mut Peer, err: &WireError) {
+    fn reject_malformed(&mut self, pid: u64, peer: &mut Peer, err: &WireError) {
         let (counter, cause): (&'static str, DisconnectCause) = match err {
             WireError::BadMagic(_) => ("daemon.frames_rejected.magic", DisconnectCause::Malformed),
             WireError::BadVersion(_) => {
@@ -768,22 +725,27 @@ impl<S: Storage> Daemon<S> {
         self.recorder.add(counter, 1);
         self.stats.malformed_disconnects += 1;
         self.recorder.add("daemon.malformed_disconnects", 1);
-        self.condemn(peer, cause);
+        self.condemn(pid, peer, cause);
     }
 
     /// Queues a typed goodbye, releases the peer's sessions and marks the
     /// connection for teardown once its outbound buffer flushes.
-    fn condemn(&mut self, peer: &mut Peer, cause: DisconnectCause) {
+    fn condemn(&mut self, pid: u64, peer: &mut Peer, cause: DisconnectCause) {
         peer.conn.queue(&Frame::Goodbye { cause }.encode());
         peer.closing = true;
-        self.release_peer_sessions(peer);
+        self.release_peer_sessions(pid);
     }
 
-    fn release_peer_sessions(&mut self, peer: &mut Peer) {
-        let sessions = std::mem::take(&mut peer.sessions);
+    /// Releases every session bound to peer `pid`, in ascending order.
+    fn release_peer_sessions(&mut self, pid: u64) {
+        let sessions: Vec<u64> = self
+            .bound
+            .iter()
+            .filter(|&(_, &bound_to)| bound_to == pid)
+            .map(|(&session, _)| session)
+            .collect();
         for session in sessions {
             self.bound.remove(&session);
-            self.ingested.remove(&session);
             self.parked.remove(&session);
             match self.sup.release(session) {
                 Ok(()) => {}
@@ -862,7 +824,7 @@ impl<S: Storage> Daemon<S> {
                     }
                     None => self.park(session, bytes),
                 }
-            } else if self.ingested.contains_key(&session) {
+            } else if self.sup.stream(session).is_ok() {
                 self.park(session, bytes)
             } else {
                 false
@@ -929,7 +891,7 @@ impl<S: Storage> Daemon<S> {
                     self.recorder.add("daemon.idle_disconnects", 1);
                 }
             }
-            self.condemn(&mut peer, cause);
+            self.condemn(pid, &mut peer, cause);
             self.peers.insert(pid, peer);
         }
     }
@@ -971,9 +933,7 @@ impl<S: Storage> Daemon<S> {
                 peer.closing = true;
                 // Sessions are *not* released: they live on in the final
                 // checkpoint for the next process to restore.
-                for session in std::mem::take(&mut peer.sessions) {
-                    self.bound.remove(&session);
-                }
+                self.bound.retain(|_, bound_to| *bound_to != pid);
             }
             self.peers.insert(pid, peer);
         }
@@ -991,7 +951,7 @@ impl<S: Storage> Daemon<S> {
                 Ok(done) => done,
                 Err(_) => {
                     self.recorder.add("daemon.flush_failures", 1);
-                    self.release_peer_sessions(&mut peer);
+                    self.release_peer_sessions(pid);
                     continue; // drop the peer
                 }
             };

@@ -55,8 +55,6 @@ pub enum DaemonError {
     Wire(wire::WireError),
     /// The wrapped supervisor refused an operation.
     Serve(lumen_serve::ServeError),
-    /// The detector factory failed to build a session detector.
-    Core(lumen_core::CoreError),
     /// A graceful drain did not complete within its turn budget.
     DrainStalled {
         /// Turns spent draining.
@@ -72,7 +70,6 @@ impl std::fmt::Display for DaemonError {
             DaemonError::Io(msg) => write!(f, "transport: {msg}"),
             DaemonError::Wire(e) => write!(f, "wire: {e}"),
             DaemonError::Serve(e) => write!(f, "serve: {e}"),
-            DaemonError::Core(e) => write!(f, "core: {e}"),
             DaemonError::DrainStalled { turns, pending } => {
                 write!(
                     f,
@@ -88,7 +85,6 @@ impl std::error::Error for DaemonError {
         match self {
             DaemonError::Wire(e) => Some(e),
             DaemonError::Serve(e) => Some(e),
-            DaemonError::Core(e) => Some(e),
             _ => None,
         }
     }
@@ -103,12 +99,6 @@ impl From<wire::WireError> for DaemonError {
 impl From<lumen_serve::ServeError> for DaemonError {
     fn from(e: lumen_serve::ServeError) -> Self {
         DaemonError::Serve(e)
-    }
-}
-
-impl From<lumen_core::CoreError> for DaemonError {
-    fn from(e: lumen_core::CoreError) -> Self {
-        DaemonError::Core(e)
     }
 }
 

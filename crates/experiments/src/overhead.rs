@@ -4,18 +4,17 @@
 //! The paper reports how long each step of the defense takes on a laptop
 //! and a phone (face tracking dominates; the luminance analysis itself is
 //! cheap). This experiment reproduces that breakdown for the simulator's
-//! pipeline: a trained detector runs over a batch of clips with a live
-//! [`lumen_obs`] recorder per worker thread, and the merged registry yields
-//! the per-stage latency table — preprocess, change detection, feature
-//! extraction and LOF scoring under the whole-clip `detect` span.
+//! pipeline: a trained detector runs over a batch of clips on one thread
+//! with a live [`lumen_obs`] recorder, whose registry yields the per-stage
+//! latency table — preprocess, change detection, feature extraction and
+//! LOF scoring under the whole-clip `detect` span.
 
-use crate::runner::parallel_map_instrumented;
 use crate::ExpResult;
 use lumen_chat::scenario::ScenarioBuilder;
 use lumen_chat::trace::TracePair;
 use lumen_core::detector::Detector;
 use lumen_core::Config;
-use lumen_obs::{stage, Snapshot, SpanRow};
+use lumen_obs::{stage, Recorder, Snapshot, SpanRow};
 use serde::{Deserialize, Serialize};
 
 /// The batch pipeline stages, in execution order, that make up the
@@ -96,19 +95,37 @@ pub fn run(opts: OverheadOpts) -> ExpResult<OverheadResult> {
             }
         })
         .collect::<Result<_, _>>()?;
-    let (_verdicts, registry) = parallel_map_instrumented(pairs, |pair, recorder| {
-        // The worker's recorder attaches per clip; the clone happens outside
-        // any span so it never pollutes the measured stage latencies.
-        let instrumented = detector.clone().with_recorder(recorder.clone());
-        Ok(instrumented.detect(pair)?)
-    })?;
-    let snapshot = registry.snapshot();
+    time_stages(&detector, &pairs, pairs.len())
+}
+
+/// Runs `detections` detections of `clips`, cycling through them, under
+/// one in-memory recorder and tables their stage spans. Every detection
+/// runs on this thread: with a worker per core, a span can wait out a
+/// scheduler slice, and that wait then sets the table's tail.
+///
+/// # Errors
+///
+/// Fails when `clips` is empty and propagates detection errors.
+pub fn time_stages(
+    detector: &Detector,
+    clips: &[TracePair],
+    detections: usize,
+) -> ExpResult<OverheadResult> {
+    if clips.is_empty() {
+        return Err("no clips to time".into());
+    }
+    let (recorder, sink) = Recorder::in_memory();
+    let staged = detector.clone().with_recorder(recorder);
+    for clip in clips.iter().cycle().take(detections) {
+        staged.detect(clip)?;
+    }
+    let snapshot = sink.registry().snapshot();
     let stages = STAGES
         .iter()
         .filter_map(|name| snapshot.spans.iter().find(|s| s.name == *name).cloned())
         .collect();
     Ok(OverheadResult {
-        clips: opts.detect_clips,
+        clips: detections,
         stages,
         snapshot,
     })

@@ -13,7 +13,10 @@
 //! * a session a restore quarantined is **exempt** from then on, and
 //!   counted;
 //! * where the workload keeps final counters ([`Workload::same_outcome`]),
-//!   the two runs must end with equal ones.
+//!   the two runs must end with equal ones. The shared workloads count
+//!   each live session's final stream state among them: while every vote
+//!   in a ring agrees, a lost vote changes no verdict, so the books alone
+//!   cannot see it.
 //!
 //! The chaos, dsoak, overload and fleet experiments and the checkpoint,
 //! fleet and soak integration tests all audit through this module.
@@ -21,7 +24,7 @@
 
 use crate::ExpResult;
 use lumen_chat::feed::SampleFeed;
-use lumen_core::stream::{ClipVerdict, StreamingDetector};
+use lumen_core::stream::{ClipVerdict, StreamSnapshot, StreamingDetector};
 use lumen_fleet::{Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent, FleetSnapshot};
 use lumen_obs::Recorder;
 use lumen_serve::{
@@ -262,7 +265,8 @@ pub fn clip_verdict(kind: &SessionEventKind) -> Option<&ClipVerdict> {
 /// Drives one [`Supervisor`]: session `i` streams `feeds[i]`, and every
 /// step offers each feed's next sample, then ticks. A kill round-trips the
 /// snapshot through serde JSON, drops the supervisor and restores it. The
-/// final counters are the whole event stream and the [`ServeStats`](lumen_serve::ServeStats).
+/// final counters are the whole event stream, the [`ServeStats`](lumen_serve::ServeStats)
+/// and every session's [`StreamSnapshot`].
 pub struct SupervisorReplay {
     sup: Supervisor,
     template: StreamingDetector,
@@ -362,7 +366,15 @@ impl Workload for SupervisorReplay {
     }
 
     fn same_outcome(&self, reference: &Self) -> bool {
-        self.events == reference.events && self.sup.stats() == reference.sup.stats()
+        let streams = |sup: &Supervisor| -> Vec<(u64, Option<StreamSnapshot>)> {
+            sup.session_ids()
+                .into_iter()
+                .map(|id| (id, sup.stream(id).ok().map(StreamingDetector::snapshot)))
+                .collect()
+        };
+        self.events == reference.events
+            && self.sup.stats() == reference.sup.stats()
+            && streams(&self.sup) == streams(&reference.sup)
     }
 }
 
@@ -370,8 +382,8 @@ impl Workload for SupervisorReplay {
 /// session `i` is admitted under key `i` and streams `feeds[i]`, and every
 /// tick checks the conservation ledger. A kill commits a [`FleetSnapshot`]
 /// to a fresh checkpoint store, drops the fleet and restores it from the
-/// store shard by shard. The final counters are the whole event stream
-/// and the summed shard stats.
+/// store shard by shard. The final counters are the whole event stream,
+/// the summed shard stats and each live session's [`StreamSnapshot`].
 pub struct FleetReplay {
     fleet: Fleet,
     template: StreamingDetector,
@@ -435,6 +447,17 @@ impl FleetReplay {
     fn tick(&mut self) {
         self.fleet.tick();
         self.ledger_ok &= self.fleet.ledger().holds();
+    }
+
+    /// Each session's stream state, `None` once quarantined.
+    fn streams(&self) -> Vec<Option<StreamSnapshot>> {
+        self.ids
+            .iter()
+            .map(|id| {
+                id.and_then(|id| self.fleet.stream(id).ok())
+                    .map(StreamingDetector::snapshot)
+            })
+            .collect()
     }
 
     fn book_events(&mut self, books: &mut Books<ClipVerdict>) {
@@ -526,7 +549,9 @@ impl Workload for FleetReplay {
     }
 
     fn same_outcome(&self, reference: &Self) -> bool {
-        self.events == reference.events && self.fleet.shard_stats() == reference.fleet.shard_stats()
+        self.events == reference.events
+            && self.fleet.shard_stats() == reference.fleet.shard_stats()
+            && self.streams() == reference.streams()
     }
 }
 

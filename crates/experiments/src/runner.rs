@@ -8,11 +8,13 @@ use lumen_core::detector::Detector;
 use lumen_core::features::FeatureVector;
 use lumen_core::metrics::Confusion;
 use lumen_core::Config;
-use lumen_obs::{Recorder, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maps `f` over `items` on scoped worker threads with dynamic load
 /// balancing, preserving input order in the output.
+///
+/// Workers claim the next unclaimed index from a shared counter, so a slow
+/// item never holds up the rest of the queue.
 ///
 /// # Errors
 ///
@@ -23,46 +25,23 @@ where
     R: Send,
     F: Fn(&T) -> ExpResult<R> + Sync,
 {
-    parallel_map_instrumented(items, |item, _| f(item)).map(|(results, _)| results)
-}
-
-/// [`parallel_map`] with per-worker observability: every worker thread owns
-/// a private in-memory [`Recorder`] handed to each `f` invocation, and the
-/// per-worker registries are merged into one aggregate after the scope
-/// joins — counters sum, span/value histograms pool their observations.
-///
-/// Workers claim the next unclaimed index from a shared counter, so a slow
-/// item never holds up the rest of the queue.
-///
-/// # Errors
-///
-/// Propagates the first error any worker produced (the merged registry is
-/// discarded in that case).
-pub fn parallel_map_instrumented<T, R, F>(items: Vec<T>, f: F) -> ExpResult<(Vec<R>, Registry)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &Recorder) -> ExpResult<R> + Sync,
-{
     let workers = std::thread::available_parallelism()
         .map_or(4, |n| n.get())
         .min(items.len());
     let next = AtomicUsize::new(0);
-    type WorkerOutput<R> = (Vec<(usize, ExpResult<R>)>, Registry);
-    let done: Vec<WorkerOutput<R>> = std::thread::scope(|scope| {
+    let done: Vec<Vec<(usize, ExpResult<R>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let (recorder, sink) = Recorder::in_memory();
                     let mut out = Vec::new();
                     loop {
                         // Relaxed: the index publishes no data; items are
                         // shared read-only and results return through join.
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(idx) else { break };
-                        out.push((idx, f(item, &recorder)));
+                        out.push((idx, f(item)));
                     }
-                    (out, sink.registry())
+                    out
                 })
             })
             .collect();
@@ -74,20 +53,15 @@ where
             .collect()
     });
     let mut slots: Vec<Option<ExpResult<R>>> = (0..items.len()).map(|_| None).collect();
-    let mut registry = Registry::new();
-    for (chunk, worker_registry) in done {
-        registry.merge(&worker_registry);
-        for (idx, r) in chunk {
-            slots[idx] = Some(r);
-        }
+    for (idx, r) in done.into_iter().flatten() {
+        slots[idx] = Some(r);
     }
-    let results = slots
+    slots
         .into_iter()
         // lint:allow(no-panic): every index is claimed exactly once and
         // each claimed item writes back its own slot
         .map(|s| s.expect("every task completed"))
-        .collect::<ExpResult<Vec<R>>>()?;
-    Ok((results, registry))
+        .collect()
 }
 
 /// Legitimate + attack feature sets for one volunteer (`clips` of each),
@@ -177,36 +151,6 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let out = parallel_map(items.clone(), |&x| Ok(x * 2)).unwrap();
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn instrumented_map_merges_worker_registries() {
-        let items: Vec<u64> = (0..25).collect();
-        let (out, registry) = parallel_map_instrumented(items.clone(), |&x, recorder| {
-            recorder.add("work.items", 1);
-            recorder.observe("work.value", x as f64);
-            Ok(x * 2)
-        })
-        .unwrap();
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(registry.counter("work.items"), 25);
-        assert_eq!(registry.histogram("work.value").unwrap().count(), 25);
-    }
-
-    #[test]
-    fn instrumented_map_propagates_errors() {
-        let items: Vec<u64> = (0..10).collect();
-        let out = parallel_map_instrumented(
-            items,
-            |&x, _| {
-                if x == 7 {
-                    Err("boom".into())
-                } else {
-                    Ok(x)
-                }
-            },
-        );
-        assert!(out.is_err());
     }
 
     #[test]

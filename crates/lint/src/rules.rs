@@ -771,11 +771,7 @@ fn hot_path_purity(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
         let Some((s, e)) = sym.item.body else {
             continue;
         };
-        let chain_str = chain
-            .iter()
-            .map(|&c| ws.symbols.fns[c].display())
-            .collect::<Vec<_>>()
-            .join(" → ");
+        let chain_str = chain_display(ws, chain);
         for imp in impurities(&a.lexed.tokens, s, e) {
             if a.in_cfg_test(imp.line) {
                 continue;
@@ -795,10 +791,20 @@ fn hot_path_purity(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// A call chain as diagnostics print it: `a → b → c`, hot entry first.
+fn chain_display(ws: &WsCtx<'_>, chain: &[usize]) -> String {
+    chain
+        .iter()
+        .map(|&c| ws.symbols.fns[c].display())
+        .collect::<Vec<_>>()
+        .join(" → ")
+}
+
 /// `error-swallowing`: on verdict-path functions (reachable from a hot
 /// path), `let _ = fallible();` and a discarded `.ok()` silently eat
 /// errors that should surface as counters or anomalies. Whether a call is
-/// fallible is resolved through the workspace symbol table.
+/// fallible is resolved through the workspace symbol table. Like
+/// `hot-path-purity`, the diagnostic reports the discovered call chain.
 fn error_swallowing(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
     let entries = ws.symbols.hot_entries();
     if entries.is_empty() {
@@ -806,7 +812,7 @@ fn error_swallowing(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
     let chains = ws.graph.reachable_chains(&entries);
     let mut seen: BTreeSet<(String, u32, u32)> = BTreeSet::new();
-    for &id in chains.keys() {
+    for (&id, chain) in &chains {
         let sym = &ws.symbols.fns[id];
         let Some(a) = ws.files.get(sym.file) else {
             continue;
@@ -815,8 +821,9 @@ fn error_swallowing(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         };
         let self_ty = sym.item.self_ty.as_deref();
-        check_let_underscore(ws, a, self_ty, s, e, &mut seen, out);
-        check_dangling_ok(a, s, e, &mut seen, out);
+        let chain = chain_display(ws, chain);
+        check_let_underscore(ws, a, self_ty, (s, e), &chain, &mut seen, out);
+        check_dangling_ok(a, (s, e), &chain, &mut seen, out);
     }
 }
 
@@ -827,8 +834,8 @@ fn check_let_underscore(
     ws: &WsCtx<'_>,
     a: &FileAnalysis,
     self_ty: Option<&str>,
-    s: usize,
-    e: usize,
+    (s, e): (usize, usize),
+    chain: &str,
     seen: &mut BTreeSet<(String, u32, u32)>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -904,7 +911,7 @@ fn check_let_underscore(
             ERROR_SWALLOWING,
             tok.line,
             tok.col,
-            format!("`let _ =` discards the fallible result of {what} on a verdict path"),
+            format!("`let _ =` discards the fallible result of {what} on a verdict path: {chain}"),
             "surface the failure (counter + anomaly) or propagate it; a deliberate \
              best-effort drop needs a justified allow",
         ));
@@ -916,8 +923,8 @@ fn check_let_underscore(
 /// nested (`f(x.ok())`) uses do not match.
 fn check_dangling_ok(
     a: &FileAnalysis,
-    s: usize,
-    e: usize,
+    (s, e): (usize, usize),
+    chain: &str,
     seen: &mut BTreeSet<(String, u32, u32)>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -978,7 +985,7 @@ fn check_dangling_ok(
             ERROR_SWALLOWING,
             tok.line,
             tok.col,
-            "`.ok()` as a bare statement silences a `Result` on a verdict path".to_string(),
+            format!("`.ok()` as a bare statement silences a `Result` on a verdict path: {chain}"),
             "surface the failure (counter + anomaly) or propagate it; a deliberate \
              best-effort drop needs a justified allow",
         ));

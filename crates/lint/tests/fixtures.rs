@@ -165,6 +165,22 @@ fn workspace_bad_fixtures_report_chains_and_positions() {
             "purity finding must name the call chain: {f:?}"
         );
     }
+    // So must both error-swallowing diagnostics, the one a call down too.
+    let (_, _, findings) = lint_ws_fixture("error_swallowing_bad.rs");
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    for f in &findings {
+        assert!(f.line > 0 && f.col > 0, "missing position: {f:?}");
+        assert!(
+            f.message.contains("tick"),
+            "error-swallowing finding must name the call chain: {f:?}"
+        );
+    }
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("`.ok()`") && f.message.contains("tick → settle")),
+        "the dangling `.ok()` sits one call down: {findings:?}"
+    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Bad: a verdict-path fn discards two `Result`s — one through
-//! `let _ =`, one through a dangling `.ok()`.
+//! Bad: verdict-path fns discard two `Result`s — one through `let _ =`
+//! in the hot entry, one through a dangling `.ok()` one call down.
 
 /// Fallible refresh; the symbol table records the `Result` return.
 fn refresh() -> Result<(), Error> {
@@ -15,5 +15,10 @@ fn push(v: u64) -> Result<(), Error> {
 // lint:hot-path
 pub fn tick() {
     let _ = refresh();
+    settle();
+}
+
+/// Helper on the verdict path.
+fn settle() {
     push(1).ok();
 }

@@ -17,16 +17,15 @@
 //!   offline analysis;
 //! * [`FlightSink`] — a bounded tick-stamped ring plus an always-on
 //!   metrics fold, dumping deterministic [`Postmortem`] bundles on anomaly
-//!   triggers;
-//! * [`FanoutSink`] — duplicates events to several of the above.
+//!   triggers.
 //!
 //! Events carry a session/clip trace context set via
 //! [`Recorder::session_scope`] / [`Recorder::clip_scope`], so a fleet-wide
 //! sink can reconstruct the per-session event sequence after the fact.
 //! Histograms share one log-linear layout ([`registry::BUCKETS`] buckets,
 //! relative quantile error bounded by
-//! [`registry::QUANTILE_RELATIVE_ERROR`]) and merge exactly, which is how
-//! per-worker registries combine into fleet quantiles.
+//! [`registry::QUANTILE_RELATIVE_ERROR`]) and [`Histogram::merge`] exactly,
+//! so histograms from independent recorders combine into fleet quantiles.
 //!
 //! # Example
 //!
@@ -61,7 +60,7 @@ pub use flight::{
 };
 pub use recorder::{Recorder, SpanGuard, TraceGuard};
 pub use registry::{Histogram, Registry, Snapshot, SpanRow};
-pub use sink::{FanoutSink, InMemorySink, JsonlSink, NullSink, Sink};
+pub use sink::{InMemorySink, JsonlSink, NullSink, Sink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

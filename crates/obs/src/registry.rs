@@ -3,8 +3,8 @@
 //!
 //! The [`Histogram`] is HDR-style: a fixed log-linear bucket layout shared
 //! by every instance, so [`Histogram::merge`] is a plain element-wise count
-//! addition — exact, associative and commutative. Per-worker registries
-//! from the experiment runner therefore combine into fleet-level quantiles
+//! addition — exact, associative and commutative. Histograms from
+//! independent recorders therefore combine into fleet-level quantiles
 //! with exact counts and a bounded relative error on the quantile values
 //! ([`QUANTILE_RELATIVE_ERROR`]).
 
@@ -258,9 +258,7 @@ impl Histogram {
 }
 
 /// Aggregated view of an event stream: counters, gauges, value histograms
-/// and per-span duration histograms. Registries from different workers
-/// [`merge`](Registry::merge) into one, which is how the experiment runner
-/// combines per-worker instrumentation.
+/// and per-span duration histograms.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
@@ -315,24 +313,6 @@ impl Registry {
             r.absorb(e);
         }
         r
-    }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's level (last writer wins), histograms and span stats merge
-    /// bucket by bucket (exact: both sides share one layout).
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-        for (name, h) in &other.spans {
-            self.spans.entry(name.clone()).or_default().merge(h);
-        }
     }
 
     /// Counter level by name.
@@ -625,17 +605,6 @@ mod tests {
             assert_eq!(Histogram::bucket_index(inside), Some(i), "inside {i}");
         }
         assert_eq!(Histogram::bucket_index(Histogram::bucket_upper(0)), Some(1));
-    }
-
-    #[test]
-    fn registry_counter_merge_adds() {
-        let mut a =
-            Registry::from_events(&[counter_event("frames", 3.0), counter_event("frames", 2.0)]);
-        let b = Registry::from_events(&[counter_event("frames", 5.0), counter_event("drops", 1.0)]);
-        a.merge(&b);
-        assert_eq!(a.counter("frames"), 10);
-        assert_eq!(a.counter("drops"), 1);
-        assert_eq!(a.counter("missing"), 0);
     }
 
     #[test]

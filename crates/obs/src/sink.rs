@@ -7,7 +7,7 @@ use crate::registry::{Registry, Snapshot};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Consumes observability events. Implementations must be cheap and
 /// infallible from the caller's point of view: instrumentation must never
@@ -151,37 +151,6 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     }
 }
 
-/// Duplicates every event to several sinks — e.g. a flight recorder plus a
-/// JSONL capture file. Inactive children are filtered out at construction;
-/// the fanout itself is active only while it has at least one child, so a
-/// recorder built on an all-inactive fanout still collapses to the
-/// disabled fast path.
-#[derive(Default)]
-pub struct FanoutSink {
-    children: Vec<Arc<dyn Sink>>,
-}
-
-impl FanoutSink {
-    /// A fanout over `children`, dropping any that report inactive.
-    pub fn new(children: Vec<Arc<dyn Sink>>) -> Self {
-        FanoutSink {
-            children: children.into_iter().filter(|c| c.is_active()).collect(),
-        }
-    }
-}
-
-impl Sink for FanoutSink {
-    fn record(&self, event: &Event) {
-        for child in &self.children {
-            child.record(event);
-        }
-    }
-
-    fn is_active(&self) -> bool {
-        !self.children.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,19 +188,6 @@ mod tests {
         assert_eq!(events[1].seq, 1);
         sink.clear();
         assert_eq!(sink.len(), 0);
-    }
-
-    #[test]
-    fn fanout_duplicates_and_filters_inactive() {
-        let a = Arc::new(InMemorySink::new());
-        let b = Arc::new(InMemorySink::new());
-        let fan = FanoutSink::new(vec![a.clone(), Arc::new(NullSink), b.clone()]);
-        assert!(fan.is_active());
-        fan.record(&event(0));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert!(!FanoutSink::new(vec![Arc::new(NullSink)]).is_active());
-        assert!(!FanoutSink::default().is_active());
     }
 
     #[test]

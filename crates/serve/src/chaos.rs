@@ -218,7 +218,7 @@ impl ChaosInjector {
             };
             match kind {
                 SessionCorruption::FutureTick if !session.queue.is_empty() => {
-                    if let Some(crate::QueuedClipSnapshot::Clip { completed_at, .. }) =
+                    if let Some(crate::QueuedClip::Clip { completed_at, .. }) =
                         session.queue.first_mut()
                     {
                         *completed_at = snap.tick.saturating_add(1_000_000);

@@ -16,10 +16,12 @@ use lumen_core::stream::StreamSnapshot;
 use lumen_probe::ProbeDirector;
 use serde::{Deserialize, Serialize, Value};
 
-/// One queued entry of a session: a pending clip, or the ordering
-/// tombstone of an already-decided shed.
+/// One entry of a session's pending-clip queue: a completed clip awaiting
+/// detection, or the ordering tombstone of a shed decided at completion
+/// time, which holds the clip's place in the verdict stream and costs no
+/// detection budget. The supervisor queues and checkpoints this one type.
 #[derive(Debug, Clone, PartialEq)]
-pub enum QueuedClipSnapshot {
+pub enum QueuedClip {
     /// A completed clip awaiting detection.
     Clip {
         /// Transmitted-side samples of the clip.
@@ -39,10 +41,10 @@ pub enum QueuedClipSnapshot {
 
 // The vendored serde derive handles unit-variant enums only; the queue
 // entry serializes by hand as a kind-tagged object.
-impl Serialize for QueuedClipSnapshot {
+impl Serialize for QueuedClip {
     fn serialize(&self) -> Value {
         match self {
-            QueuedClipSnapshot::Clip {
+            QueuedClip::Clip {
                 tx,
                 rx,
                 completed_at,
@@ -52,7 +54,7 @@ impl Serialize for QueuedClipSnapshot {
                 ("rx".to_string(), rx.serialize()),
                 ("completed_at".to_string(), completed_at.serialize()),
             ]),
-            QueuedClipSnapshot::Tombstone { reason } => Value::Object(vec![
+            QueuedClip::Tombstone { reason } => Value::Object(vec![
                 ("kind".to_string(), Value::String("tombstone".to_string())),
                 ("reason".to_string(), reason.serialize()),
             ]),
@@ -60,16 +62,16 @@ impl Serialize for QueuedClipSnapshot {
     }
 }
 
-impl Deserialize for QueuedClipSnapshot {
+impl Deserialize for QueuedClip {
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
         let kind = v.field("kind")?.as_str()?;
         match kind {
-            "clip" => Ok(QueuedClipSnapshot::Clip {
+            "clip" => Ok(QueuedClip::Clip {
                 tx: Vec::<f64>::deserialize(v.field("tx")?)?,
                 rx: Vec::<f64>::deserialize(v.field("rx")?)?,
                 completed_at: u64::deserialize(v.field("completed_at")?)?,
             }),
-            "tombstone" => Ok(QueuedClipSnapshot::Tombstone {
+            "tombstone" => Ok(QueuedClip::Tombstone {
                 reason: ShedReason::deserialize(v.field("reason")?)?,
             }),
             other => Err(serde::Error::custom(format!(
@@ -89,7 +91,7 @@ pub struct SessionSnapshot {
     /// Received-side samples of the in-progress (partial) clip.
     pub partial_rx: Vec<f64>,
     /// Pending clips and shed tombstones, front first.
-    pub queue: Vec<QueuedClipSnapshot>,
+    pub queue: Vec<QueuedClip>,
     /// The circuit breaker's position.
     pub breaker: BreakerState,
     /// The streaming detector's mutable state.
@@ -125,19 +127,19 @@ mod tests {
     #[test]
     fn queued_clips_round_trip_through_serde() {
         let entries = [
-            QueuedClipSnapshot::Clip {
+            QueuedClip::Clip {
                 tx: vec![1.0, 2.0],
                 rx: vec![3.0, 4.0],
                 completed_at: 17,
             },
-            QueuedClipSnapshot::Tombstone {
+            QueuedClip::Tombstone {
                 reason: ShedReason::QueueFull,
             },
         ];
         for entry in &entries {
-            let back = QueuedClipSnapshot::deserialize(&entry.serialize()).unwrap();
+            let back = QueuedClip::deserialize(&entry.serialize()).unwrap();
             assert_eq!(&back, entry);
         }
-        assert!(QueuedClipSnapshot::deserialize(&Value::Null).is_err());
+        assert!(QueuedClip::deserialize(&Value::Null).is_err());
     }
 }

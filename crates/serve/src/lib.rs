@@ -45,7 +45,7 @@ pub mod supervisor;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use chaos::{ChaosInjector, ChaosPlan};
-pub use checkpoint::{QueuedClipSnapshot, SessionSnapshot, SupervisorSnapshot};
+pub use checkpoint::{QueuedClip, SessionSnapshot, SupervisorSnapshot};
 pub use error::ServeError;
 pub use store::{
     CheckpointStore, CommitOutcome, CorruptReason, LoadReport, LoadedGeneration, MemStorage,

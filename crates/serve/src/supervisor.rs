@@ -23,7 +23,7 @@
 //! byte-identical to an unloaded run.
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::checkpoint::{QueuedClipSnapshot, SessionSnapshot, SupervisorSnapshot};
+use crate::checkpoint::{QueuedClip, SessionSnapshot, SupervisorSnapshot};
 use crate::store::{CheckpointStore, QuarantinedGeneration, Storage};
 use crate::{BreakerConfig, Result, ServeError};
 use lumen_chat::clock::SimClock;
@@ -320,21 +320,6 @@ impl ShardBreakdown {
             rejected_sessions: stats.rejected_sessions,
         }
     }
-}
-
-/// One entry of a session's pending-clip queue. Tombstones hold the
-/// verdict-stream position of a clip whose shedding was decided at
-/// completion time; they cost no detection budget.
-#[derive(Debug, Clone)]
-enum QueuedClip {
-    /// A completed clip awaiting detection.
-    Clip {
-        tx: Vec<f64>,
-        rx: Vec<f64>,
-        completed_at: u64,
-    },
-    /// An ordering placeholder for an already-decided shed.
-    Tombstone { reason: ShedReason },
 }
 
 #[derive(Debug)]
@@ -729,20 +714,10 @@ impl Supervisor {
         };
         let _clip_span = self.recorder.span(stage::SERVE_CLIP);
         let mut anomalies: Vec<&'static str> = Vec::new();
-        // Detection errors must not desynchronise the clip boundary: on
-        // failure the stream is rolled back to this pre-clip snapshot and
-        // the clip is recorded as a counted shed instead.
-        let before = slot.stream.snapshot();
-        let mut verdict = None;
-        for (t, r) in tx.iter().zip(&rx) {
-            match slot.stream.push(*t, *r) {
-                Ok(Some(v)) => verdict = Some(v),
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
-        match verdict {
-            Some(v) => {
+        // The stream commits a clip only when it judges it, so a detection
+        // error leaves it as it was and the clip becomes a counted shed.
+        match slot.stream.push_clip(tx, rx) {
+            Ok(v) => {
                 self.stats.served_clips += 1;
                 self.recorder.add("serve.served", 1);
                 let latency = now.saturating_sub(completed_at);
@@ -780,17 +755,7 @@ impl Supervisor {
                     });
                 }
             }
-            None => {
-                // Either a push failed or the clip never closed (a
-                // geometry mismatch); both are detection failures.
-                if slot.stream.restore(&before).is_err() {
-                    // The snapshot no longer fits the stream's geometry:
-                    // the rollback itself failed, and the session may sit
-                    // on a half-fed stream. That deserves a post-mortem
-                    // bundle, not silence.
-                    self.recorder.add("serve.restore_failed", 1);
-                    anomalies.push("restore_failed");
-                }
+            Err(_) => {
                 let transition = slot.breaker.record_failure();
                 if transition == Some(BreakerTransition::Tripped) {
                     anomalies.push("breaker_tripped");
@@ -934,6 +899,29 @@ impl Supervisor {
     /// Admitted session ids, ascending.
     pub fn session_ids(&self) -> Vec<u64> {
         self.sessions.keys().copied().collect()
+    }
+
+    /// The id the next admitted session gets.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Samples offered to `session` so far, where its client resumes
+    /// after a restart: every resolved clip and every queued entry, clip
+    /// or tombstone, took one clip's samples, and the partial clip holds
+    /// the rest.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::UnknownSession`] for an id this supervisor
+    /// does not own.
+    pub fn samples_offered(&self, session: u64) -> Result<u64> {
+        let slot = self
+            .sessions
+            .get(&session)
+            .ok_or(ServeError::UnknownSession(session))?;
+        let clips = slot.stream.clips_done() + slot.queue.len();
+        Ok((clips * slot.stream.clip_samples() + slot.partial_tx.len()) as u64)
     }
 
     /// Queue entries (clips and tombstones) not yet resolved, across all
@@ -1143,24 +1131,7 @@ impl Supervisor {
                     id,
                     partial_tx: slot.partial_tx.clone(),
                     partial_rx: slot.partial_rx.clone(),
-                    queue: slot
-                        .queue
-                        .iter()
-                        .map(|entry| match entry {
-                            QueuedClip::Clip {
-                                tx,
-                                rx,
-                                completed_at,
-                            } => QueuedClipSnapshot::Clip {
-                                tx: tx.clone(),
-                                rx: rx.clone(),
-                                completed_at: *completed_at,
-                            },
-                            QueuedClip::Tombstone { reason } => {
-                                QueuedClipSnapshot::Tombstone { reason: *reason }
-                            }
-                        })
-                        .collect(),
+                    queue: slot.queue.iter().cloned().collect(),
                     breaker: slot.breaker.state(),
                     stream: slot.stream.snapshot(),
                     probe: slot.probe.clone(),
@@ -1179,8 +1150,9 @@ impl Supervisor {
     ///
     /// Returns [`ServeError::InvalidConfig`] for an invalid `config`,
     /// [`ServeError::BadSnapshot`] for duplicate session ids, a stale
-    /// `next_id`, mismatched partial buffers, or a queued clip completed
-    /// after the checkpoint tick (a non-monotonic snapshot), and
+    /// `next_id`, mismatched partial buffers, a queued clip completed
+    /// after the checkpoint tick (a non-monotonic snapshot) or one that is
+    /// not one clip long, and
     /// propagates factory and [`StreamingDetector::restore`] errors.
     pub fn restore<F>(
         config: ServeConfig,
@@ -1330,7 +1302,7 @@ impl Supervisor {
             )));
         }
         for entry in &s.queue {
-            if let QueuedClipSnapshot::Clip { completed_at, .. } = entry {
+            if let QueuedClip::Clip { completed_at, .. } = entry {
                 if *completed_at > snap_tick {
                     return Err(ServeError::bad_snapshot(format!(
                         "session {}: queued clip completed at tick {completed_at}, after the \
@@ -1350,28 +1322,25 @@ impl Supervisor {
                 stream.clip_samples()
             )));
         }
+        for entry in &s.queue {
+            if let QueuedClip::Clip { tx, rx, .. } = entry {
+                if tx.len() != stream.clip_samples() || rx.len() != stream.clip_samples() {
+                    return Err(ServeError::bad_snapshot(format!(
+                        "session {}: queued clip of {} tx and {} rx samples is not a {}-sample \
+                         clip",
+                        s.id,
+                        tx.len(),
+                        rx.len(),
+                        stream.clip_samples()
+                    )));
+                }
+            }
+        }
         Ok(SessionSlot {
             stream,
             partial_tx: s.partial_tx.clone(),
             partial_rx: s.partial_rx.clone(),
-            queue: s
-                .queue
-                .iter()
-                .map(|entry| match entry {
-                    QueuedClipSnapshot::Clip {
-                        tx,
-                        rx,
-                        completed_at,
-                    } => QueuedClip::Clip {
-                        tx: tx.clone(),
-                        rx: rx.clone(),
-                        completed_at: *completed_at,
-                    },
-                    QueuedClipSnapshot::Tombstone { reason } => {
-                        QueuedClip::Tombstone { reason: *reason }
-                    }
-                })
-                .collect(),
+            queue: s.queue.iter().cloned().collect(),
             breaker: CircuitBreaker::with_state(config.breaker, s.breaker),
             probe: s.probe.clone(),
         })
@@ -1910,6 +1879,11 @@ mod tests {
         let mut restored = Supervisor::restore(sup.config().clone(), &back, build).unwrap();
         assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.tick_now(), sup.tick_now());
+        // Both resume where their clients left off.
+        assert_eq!(restored.samples_offered(a).unwrap(), 150);
+        assert_eq!(restored.samples_offered(b).unwrap(), 80);
+        assert!(restored.samples_offered(b + 1).is_err());
+        assert_eq!(restored.next_id(), b + 1);
         for (tx, rx) in pair_b.tx.samples()[80..]
             .iter()
             .zip(&pair_b.rx.samples()[80..])
@@ -1963,7 +1937,7 @@ mod tests {
         // A queued clip completed after the checkpoint tick is a
         // non-monotonic snapshot: the clip claims to come from the future.
         let mut bad = good.clone();
-        bad.sessions[0].queue.push(QueuedClipSnapshot::Clip {
+        bad.sessions[0].queue.push(QueuedClip::Clip {
             tx: vec![1.0],
             rx: vec![1.0],
             completed_at: bad.tick + 1,
@@ -1973,6 +1947,43 @@ mod tests {
                 assert!(reason.contains("after the checkpoint tick"), "{reason}");
             }
             other => panic!("expected BadSnapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_queued_clip_that_is_not_one_clip_long() {
+        let build = |_: u64| StreamingDetector::new(detector(), 15.0, 3);
+        let mut sup = Supervisor::new(relaxed()).unwrap();
+        let a = sup.admit(stream()).session().unwrap();
+        let b = sup.admit(stream()).session().unwrap();
+        let good = sup.snapshot();
+        // One sample too many, and sides of different lengths.
+        for (tx, rx) in [(151, 151), (150, 149)] {
+            let mut bad = good.clone();
+            bad.sessions[1].queue.push(QueuedClip::Clip {
+                tx: vec![100.0; tx],
+                rx: vec![100.0; rx],
+                completed_at: bad.tick,
+            });
+            match Supervisor::restore(relaxed(), &bad, build) {
+                Err(ServeError::BadSnapshot(reason)) => {
+                    assert!(reason.contains("not a 150-sample clip"), "{reason}");
+                }
+                other => panic!("expected BadSnapshot, got {other:?}"),
+            }
+            let (restored, report) =
+                Supervisor::restore_with_report(relaxed(), &bad, build, &Recorder::null()).unwrap();
+            assert_eq!(report.restored, vec![a]);
+            assert_eq!(report.quarantined.len(), 1);
+            assert_eq!(report.quarantined[0].id, b);
+            assert!(
+                report.quarantined[0]
+                    .reason
+                    .contains("not a 150-sample clip"),
+                "{}",
+                report.quarantined[0].reason
+            );
+            assert_eq!(restored.session_ids(), vec![a]);
         }
     }
 

@@ -67,22 +67,27 @@ proptest! {
     /// shard-by-shard replays every never-quarantined session
     /// byte-identically to the uninterrupted run — whatever the shard
     /// count, wherever the cut, and even when one session's snapshot
-    /// entry rots and the restore quarantines it.
+    /// entry rots and the restore quarantines it. The cut lands after a
+    /// session's first clip is served, so its vote ring holds a vote.
     #[test]
     fn restore_is_byte_identical_for_unquarantined_sessions(
         shards in 1usize..=4,
-        cut in 20usize..130,
+        cut in 170usize..430,
         rot in any::<bool>(),
         rotted in 0usize..4,
         seed in 0u64..512,
     ) {
         const SESSIONS: usize = 4;
         let config = relaxed(shards, seed, SESSIONS);
-        let shortest = pool().iter().map(|p| p.tx.samples().len()).min().unwrap_or(0);
-        prop_assert!(shortest > 140, "pool traces must cover one clip");
+        // Three pool traces per session, each session's in its own order.
         let feeds: Vec<_> = (0..SESSIONS)
-            .map(|si| SampleFeed::new(&pool()[si % pool().len()]).expect("one feed"))
+            .map(|si| {
+                let traces: Vec<_> = (0..3).map(|k| pool()[(si + k) % pool().len()].clone()).collect();
+                SampleFeed::from_pairs(&traces).expect("one feed")
+            })
             .collect();
+        let shortest = feeds.iter().map(SampleFeed::len).min().unwrap_or(0);
+        prop_assert!(shortest >= 450, "feeds must cover three clips");
 
         let mut straight = FleetReplay::new(config.clone(), &stream(), feeds.clone()).expect("admitted");
         let mut cycled = FleetReplay::new(config, &stream(), feeds).expect("admitted");
@@ -90,7 +95,7 @@ proptest! {
             cycled = cycled.rot(rotted);
         }
         // The crash lands after `cut` samples of every session.
-        let audit = ReplayAudit { steps: shortest.min(160), kills: vec![cut - 1] };
+        let audit = ReplayAudit { steps: 450, kills: vec![cut - 1] };
         let report = audit.run(&mut straight, &mut cycled).expect("audit runs");
         prop_assert_eq!(&report.exempt, &rot.then_some(rotted).into_iter().collect::<Vec<_>>());
         prop_assert!(
@@ -100,7 +105,8 @@ proptest! {
             cut,
             report
         );
-        // Unrotted, the event stream and the shard counters match too.
+        // Unrotted, the event stream, the shard counters and every
+        // session's final stream state match too.
         prop_assert!(rot || report.outcome_ok, "{:?}", report);
     }
 }

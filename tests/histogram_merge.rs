@@ -1,11 +1,10 @@
-//! Property tests for the mergeable log-bucketed histograms and registry
-//! aggregation: merging is commutative and associative, never loses a
-//! sample, and merged quantiles honour the documented relative-error
-//! bound — the invariants that make fleet-wide percentile aggregation
-//! sound.
+//! Property tests for the mergeable log-bucketed histograms: merging is
+//! commutative and associative, never loses a sample, and merged
+//! quantiles honour the documented relative-error bound — the invariants
+//! that make fleet-wide percentile aggregation sound.
 
 use lumen::obs::registry::QUANTILE_RELATIVE_ERROR;
-use lumen::obs::{Event, EventKind, Histogram, Registry};
+use lumen::obs::Histogram;
 use proptest::prelude::*;
 
 fn samples(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -41,21 +40,6 @@ macro_rules! prop_assert_equivalent {
         prop_assert_eq!(a.nonpositive(), b.nonpositive());
         prop_assert!((a.sum() - b.sum()).abs() <= a.sum().abs() * 1e-12 + 1e-12);
     }};
-}
-
-fn counter_event(name: &str, delta: f64) -> Event {
-    Event {
-        seq: 0,
-        kind: EventKind::CounterAdd,
-        name: name.to_string(),
-        parent: None,
-        depth: 0,
-        session: None,
-        clip: None,
-        value: Some(delta),
-        duration_ns: None,
-        detail: None,
-    }
 }
 
 proptest! {
@@ -123,21 +107,5 @@ proptest! {
         let quant = h.quantile(q).expect("non-empty histogram");
         prop_assert!(quant >= h.min().expect("non-empty"));
         prop_assert!(quant <= h.max().expect("non-empty"));
-    }
-
-    #[test]
-    fn registry_merge_adds_counters(deltas in prop::collection::vec(1u32..1000, 1..32)) {
-        // Split the event stream at every possible point: folding the two
-        // halves separately and merging must equal folding the whole.
-        let events: Vec<Event> = deltas
-            .iter()
-            .map(|&d| counter_event("prop.counter", f64::from(d)))
-            .collect();
-        let whole = Registry::from_events(&events);
-        for split in 0..=events.len() {
-            let mut left = Registry::from_events(&events[..split]);
-            left.merge(&Registry::from_events(&events[split..]));
-            prop_assert_eq!(left.counter("prop.counter"), whole.counter("prop.counter"));
-        }
     }
 }
