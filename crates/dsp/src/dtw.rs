@@ -59,16 +59,28 @@ pub fn dtw_distance_banded(x: &[f64], y: &[f64], band: Option<usize>) -> Result<
     let mut curr = vec![f64::INFINITY; m + 1];
     prev[0] = 0.0;
 
+    // Both inputs are finite and every cost is an `abs`, so every cell is
+    // `+0.0`, positive or `+∞`: no NaN and no `-0.0` can arise, and the
+    // comparison minimum below selects the same bits as `f64::min` in any
+    // grouping.
+    let lesser = |a: f64, b: f64| if a < b { a } else { b };
     for i in 1..=n {
         curr.fill(f64::INFINITY);
         // Band in y-index space around the diagonal i * m / n.
         let center = i * m / n;
         let lo = center.saturating_sub(band).max(1);
         let hi = (center + band).min(m);
-        for j in lo..=hi {
-            let cost = (x[i - 1] - y[j - 1]).abs();
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = cost + best;
+        let xi = x[i - 1];
+        // `curr[j - 1]` and `prev[j - 1]` ride along in registers; the
+        // minimum of `up` and `diag` does not wait on the previous cell.
+        let mut left = curr[lo - 1];
+        let mut diag = prev[lo - 1];
+        let row = curr[lo..=hi].iter_mut().zip(&prev[lo..=hi]);
+        for ((cell, &up), &yj) in row.zip(&y[lo - 1..hi]) {
+            let cost = (xi - yj).abs();
+            *cell = cost + lesser(lesser(up, diag), left);
+            left = *cell;
+            diag = up;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
@@ -141,6 +153,74 @@ pub fn dtw_with_path(x: &[f64], y: &[f64]) -> Result<(f64, Vec<(usize, usize)>)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The banded DTW that [`dtw_distance_banded`] replaced: each cell
+    /// reads its three neighbours from the rows and takes `f64::min`. Kept
+    /// as the reference the register-carried row must match bit for bit.
+    fn dtw_distance_banded_reference(x: &[f64], y: &[f64], band: Option<usize>) -> Result<f64> {
+        if x.is_empty() || y.is_empty() {
+            return Err(DspError::EmptySignal);
+        }
+        ensure_min_len(x, 2)?;
+        ensure_min_len(y, 2)?;
+        ensure_finite(x)?;
+        ensure_finite(y)?;
+        let n = x.len();
+        let m = y.len();
+        let band = band.map(|b| b.max(n.abs_diff(m))).unwrap_or(n.max(m));
+
+        let mut prev = vec![f64::INFINITY; m + 1];
+        let mut curr = vec![f64::INFINITY; m + 1];
+        prev[0] = 0.0;
+
+        for i in 1..=n {
+            curr.fill(f64::INFINITY);
+            let center = i * m / n;
+            let lo = center.saturating_sub(band).max(1);
+            let hi = (center + band).min(m);
+            for j in lo..=hi {
+                let cost = (x[i - 1] - y[j - 1]).abs();
+                let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
+                curr[j] = cost + best;
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        let d = prev[m];
+        if d.is_finite() {
+            Ok(d)
+        } else {
+            Err(DspError::invalid_parameter(
+                "band",
+                "no warping path exists within the band",
+            ))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn banded_dtw_matches_the_reference_bit_for_bit(
+            x in prop::collection::vec(crate::test_values::finite(), 2..=120),
+            y in prop::collection::vec(crate::test_values::finite(), 2..=120),
+            square in any::<bool>(),
+            band in (any::<bool>(), 0usize..=130).prop_map(|(some, b)| some.then_some(b)),
+        ) {
+            // Lengths differ in most cases; `square` also covers n == m,
+            // the shape feature z4 uses.
+            let (x, y) = if square {
+                let n = x.len().min(y.len());
+                (&x[..n], &y[..n])
+            } else {
+                (&x[..], &y[..])
+            };
+            prop_assert_eq!(
+                dtw_distance_banded(x, y, band).map(f64::to_bits),
+                dtw_distance_banded_reference(x, y, band).map(f64::to_bits)
+            );
+        }
+    }
 
     #[test]
     fn identical_signals_have_zero_distance() {

@@ -72,6 +72,12 @@ pub fn design_lowpass(
 /// Edges are handled by replicating the first/last sample, which avoids the
 /// start-up transient dragging the luminance baseline toward zero.
 ///
+/// Output `i` adds `kernel[j] * x[clamp(i + len / 2 - j)]` to a `+0.0`
+/// accumulator over taps `j = 0..len`, in that order. Four outputs are
+/// computed per pass, each in its own accumulator, so the adds of
+/// neighbouring outputs overlap instead of waiting on one chain; every
+/// output still performs the same IEEE operations in the same order.
+///
 /// # Errors
 ///
 /// Returns [`DspError::EmptySignal`] when either input is empty and
@@ -82,14 +88,31 @@ pub fn convolve_same(x: &[f64], kernel: &[f64]) -> Result<Vec<f64>> {
     }
     ensure_finite(x)?;
     ensure_finite(kernel)?;
-    let n = x.len() as isize;
-    let half = (kernel.len() / 2) as isize;
-    let mut out = Vec::with_capacity(x.len());
-    for i in 0..n {
+    let n = x.len();
+    let half = kernel.len() / 2;
+    // `half` copies of each edge sample on either side: output `i` reads
+    // tap `j` from `padded[i + 2 * half - j]`, with no per-tap clamp.
+    let mut padded = Vec::with_capacity(n + 2 * half);
+    padded.resize(half, x[0]);
+    padded.extend_from_slice(x);
+    padded.resize(n + 2 * half, x[n - 1]);
+    let mut out = Vec::with_capacity(n);
+    let mut i = 0;
+    while i + 4 <= n {
+        let mut acc = [0.0; 4];
+        for (j, &k) in kernel.iter().enumerate() {
+            let src = &padded[i + 2 * half - j..][..4];
+            for (a, &s) in acc.iter_mut().zip(src) {
+                *a += k * s;
+            }
+        }
+        out.extend_from_slice(&acc);
+        i += 4;
+    }
+    for i in i..n {
         let mut acc = 0.0;
         for (j, &k) in kernel.iter().enumerate() {
-            let src = (i + half - j as isize).clamp(0, n - 1) as usize;
-            acc += k * x[src];
+            acc += k * padded[i + 2 * half - j];
         }
         out.push(acc);
     }
@@ -161,6 +184,56 @@ pub fn lowpass_with_taps(signal: &Signal, cutoff_hz: f64, taps: usize) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-chain convolution [`convolve_same`] replaced: one `+0.0`
+    /// accumulator per output and a clamped source index per tap. Kept as
+    /// the reference the four-lane kernel must match bit for bit.
+    fn convolve_same_reference(x: &[f64], kernel: &[f64]) -> Result<Vec<f64>> {
+        if x.is_empty() || kernel.is_empty() {
+            return Err(DspError::EmptySignal);
+        }
+        ensure_finite(x)?;
+        ensure_finite(kernel)?;
+        let n = x.len() as isize;
+        let half = (kernel.len() / 2) as isize;
+        let mut out = Vec::with_capacity(x.len());
+        for i in 0..n {
+            let mut acc = 0.0;
+            for (j, &k) in kernel.iter().enumerate() {
+                let src = (i + half - j as isize).clamp(0, n - 1) as usize;
+                acc += k * x[src];
+            }
+            out.push(acc);
+        }
+        Ok(out)
+    }
+
+    fn bits(r: Result<Vec<f64>>) -> Result<Vec<u64>> {
+        r.map(|v| v.into_iter().map(f64::to_bits).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn convolve_same_matches_the_reference_bit_for_bit(
+            x in prop::collection::vec(crate::test_values::finite(), 1..=300),
+            kernel in prop::collection::vec(crate::test_values::finite(), 1..=63),
+        ) {
+            prop_assert_eq!(
+                bits(convolve_same(&x, &kernel)),
+                bits(convolve_same_reference(&x, &kernel))
+            );
+        }
+    }
+
+    #[test]
+    fn convolve_same_keeps_the_positive_zero_accumulator() {
+        // An accumulator seeded with its first product would give -0.0.
+        let out = convolve_same(&[-0.0], &[1.0]).unwrap();
+        assert_eq!(out[0].to_bits(), 0.0f64.to_bits());
+    }
 
     #[test]
     fn design_rejects_bad_parameters() {

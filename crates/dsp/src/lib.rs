@@ -64,3 +64,22 @@ pub use signal::Signal;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DspError>;
+
+/// Sample values for the kernels' bit-equality properties.
+#[cfg(test)]
+mod test_values {
+    use proptest::prelude::*;
+
+    /// Finite samples: `±0.0`, `±` subnormals, values below 1e-6 and
+    /// magnitudes up to 1e6.
+    pub(crate) fn finite() -> impl Strategy<Value = f64> {
+        (0u8..8, any::<u64>(), -1e6f64..1e6).prop_map(|(kind, bits, v)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            // Sign and mantissa bits under a zero exponent.
+            2 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+            3 => v * 1e-12,
+            _ => v,
+        })
+    }
+}
