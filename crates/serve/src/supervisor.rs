@@ -1301,6 +1301,17 @@ impl Supervisor {
                 s.partial_rx.len()
             )));
         }
+        // A supervised stream judges whole clips (`push_clip`) and never
+        // buffers samples of its own, so buffered samples mean rot.
+        if !s.stream.tx_buffer.is_empty() || !s.stream.rx_buffer.is_empty() {
+            return Err(ServeError::bad_snapshot(format!(
+                "session {}: stream buffers hold {} tx and {} rx samples, but a supervised \
+                 stream never buffers",
+                s.id,
+                s.stream.tx_buffer.len(),
+                s.stream.rx_buffer.len()
+            )));
+        }
         for entry in &s.queue {
             if let QueuedClip::Clip { completed_at, .. } = entry {
                 if *completed_at > snap_tick {
@@ -1985,6 +1996,35 @@ mod tests {
             );
             assert_eq!(restored.session_ids(), vec![a]);
         }
+    }
+
+    #[test]
+    fn restore_rejects_samples_buffered_in_a_session_stream() {
+        let build = |_: u64| StreamingDetector::new(detector(), 15.0, 3);
+        let mut sup = Supervisor::new(relaxed()).unwrap();
+        let a = sup.admit(stream()).session().unwrap();
+        let b = sup.admit(stream()).session().unwrap();
+        let mut bad = sup.snapshot();
+        bad.sessions[1].stream.tx_buffer = vec![100.0; 10];
+        bad.sessions[1].stream.rx_buffer = vec![100.0; 10];
+        let expected = format!("session {b}: stream buffers hold 10 tx and 10 rx samples");
+        match Supervisor::restore(relaxed(), &bad, build) {
+            Err(ServeError::BadSnapshot(reason)) => {
+                assert!(reason.contains(&expected), "{reason}");
+            }
+            other => panic!("expected BadSnapshot, got {other:?}"),
+        }
+        let (restored, report) =
+            Supervisor::restore_with_report(relaxed(), &bad, build, &Recorder::null()).unwrap();
+        assert_eq!(report.restored, vec![a]);
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].id, b);
+        assert!(
+            report.quarantined[0].reason.contains(&expected),
+            "{}",
+            report.quarantined[0].reason
+        );
+        assert_eq!(restored.session_ids(), vec![a]);
     }
 
     #[test]
