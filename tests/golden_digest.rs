@@ -1,14 +1,17 @@
 //! Golden digest of the detector's outputs.
 //!
-//! About 200 seeded clips run through one trained [`Detector`]:
+//! About 250 seeded clips run through one trained [`Detector`]:
 //! legitimate calls, reenactment, replay, the adaptive forger at 0 ms and
-//! 100 ms, and gated clips with gaps, a flatline or a hold. The test hashes
-//! the exact bits of every result (z1–z4, the LOF score and the vote, or
-//! the abstention's reason and payload) with FNV-1a and compares the
-//! result with a committed constant. A kernel rewrite that claims to
-//! change no output bit must leave the digest unchanged; a change that
-//! moves it on purpose must say why and update the tables below, which
-//! the failure message prints in full.
+//! 100 ms, gated clips with gaps, a flatline or a hold, and a `stream`
+//! class fed sample by sample through an ungated and a gated
+//! [`StreamingDetector`]. The test hashes the exact bits of every result
+//! (z1–z4, the LOF score and the vote, or the abstention's reason and
+//! payload; for a streamed clip also its clip index, the fused status and
+//! the retrigger flag) with FNV-1a and compares the result with a
+//! committed constant. A kernel rewrite that claims to change no output
+//! bit must leave the digest unchanged; a change that moves it on purpose
+//! must say why and update the tables below, which the failure message
+//! prints in full.
 //!
 //! On a mismatch the test prints one sub-digest per class, the first clip
 //! whose bits differ, and whether the simulated input traces still hash to
@@ -21,18 +24,19 @@ use lumen::chat::scenario::ScenarioBuilder;
 use lumen::chat::trace::TracePair;
 use lumen::core::detector::{ClipOutcome, Detector};
 use lumen::core::quality::{GateDecision, InconclusiveReason, QualityGate};
+use lumen::core::stream::{ClipVerdict, SessionStatus, StreamingDetector};
 use lumen::core::Config;
 use lumen::dsp::Signal;
 
 /// FNV-1a digest of every clip's record, in run order.
-const GOLDEN: u64 = 0xb335_4f75_2ef1_cf3b;
+const GOLDEN: u64 = 0xc9a5_f9d3_d763_bab7;
 
 /// FNV-1a digest of the `to_bits` of every transmitted and received
 /// sample fed to the detector, in run order.
-const INPUTS_GOLDEN: u64 = 0x847f_f47f_8b73_6574;
+const INPUTS_GOLDEN: u64 = 0x391c_7523_37b9_d9d4;
 
 /// FNV-1a digest of each class's clip records, in run order.
-const CLASS_GOLDEN: [(&str, u64); 8] = [
+const CLASS_GOLDEN: [(&str, u64); 9] = [
     ("legitimate", 0xfc56_be26_def6_195a),
     ("reenactment", 0x0c65_2c50_7e65_2e87),
     ("replay", 0xbf97_92fe_e49a_7869),
@@ -41,10 +45,11 @@ const CLASS_GOLDEN: [(&str, u64); 8] = [
     ("gaps", 0x53fe_eccc_9d6c_a593),
     ("flatline", 0xe72c_fc5b_56f5_0da5),
     ("hold", 0x977a_94a7_b0ff_5903),
+    ("stream", 0x8495_c8ed_873d_6d1d),
 ];
 
 /// The low 32 bits of each clip record's own FNV-1a digest, in run order.
-const CLIP_GOLDEN: [u32; 207] = [
+const CLIP_GOLDEN: [u32; 253] = [
     0xbd06f470, 0xc68fb7d0, 0x77c6ff60, 0xbfe48e28, 0x463b0184, 0xf385959d, 0xec76678e, 0xdd389ede,
     0x3de97ef9, 0x1603d54d, 0x689e8ade, 0x424d3d54, 0x3807168e, 0xeaa7a7b3, 0x5ca51e21, 0x4171746d,
     0xa43328a8, 0x9507bb7c, 0x39f597c6, 0x7df37964, 0xf52594ce, 0xa277c1da, 0xcb58e5fc, 0x2bd04266,
@@ -70,7 +75,13 @@ const CLIP_GOLDEN: [u32; 207] = [
     0x4c07271d, 0xa69c1778, 0xefcb5abb, 0x611ff761, 0x55e750e5, 0x55e750e5, 0x55e750e5, 0x55e750e5,
     0x55e750e5, 0x55e750e5, 0x808dc843, 0xf33e2d09, 0x3175168f, 0x015b931a, 0xe4aaee71, 0x3175168f,
     0x88523b2b, 0x6b19661a, 0x406df3c9, 0x8a17e799, 0x7207e9c0, 0x0981505a, 0x9203ece8, 0x00f01e7b,
-    0xb45d8d0b, 0xd6d81dcc, 0xec571476, 0x2ddcc248, 0x451f44df, 0x276e8356, 0xa385e6b6,
+    0xb45d8d0b, 0xd6d81dcc, 0xec571476, 0x2ddcc248, 0x451f44df, 0x276e8356, 0xa385e6b6, 0xfda02394,
+    0x43bc53e2, 0x5b707300, 0x9853d786, 0xa2354b21, 0x03a253f4, 0x9c846f79, 0xdabc20c9, 0xfae73e36,
+    0x1f8b3ab1, 0x354714ac, 0x9a26c947, 0x04cb97f8, 0xad031578, 0x8fa53042, 0x20368536, 0xd95898bb,
+    0xfae7f123, 0xb328f712, 0x3221043d, 0x3576dee7, 0x028c7ab4, 0xd53daab7, 0x953e2172, 0x88fc4707,
+    0xcd699f36, 0x9c642204, 0x0aabb5ab, 0xd3080942, 0x107c3b9c, 0xc6491b7e, 0x96d307b5, 0xb4e85c33,
+    0x92e887e3, 0x9de0e291, 0xf09129df, 0x5d29e555, 0x4b6565ee, 0xab1ab8dd, 0x964c272d, 0xa1b0c143,
+    0xa10b40b0, 0xd7b25756, 0x0965dd10, 0x72262331, 0x8439b1d2,
 ];
 
 /// 64-bit FNV-1a.
@@ -91,6 +102,21 @@ impl Fnv {
     fn samples(&mut self, samples: &[f64]) {
         for s in samples {
             self.word(s.to_bits());
+        }
+    }
+
+    /// Hashes one clip's record: its result and, for a streamed clip, the
+    /// stream's clip index, fused status and retrigger flag.
+    fn record(&mut self, clip: &Clip) {
+        self.outcome(&clip.outcome);
+        if let Some(s) = &clip.streamed {
+            self.word(s.clip_index as u64);
+            self.word(match s.status {
+                SessionStatus::Gathering => 0,
+                SessionStatus::Trusted => 1,
+                SessionStatus::Alert => 2,
+            });
+            self.word(u64::from(s.retrigger));
         }
     }
 
@@ -132,12 +158,21 @@ struct Clip {
     outcome: ClipOutcome,
     /// Whether the gate bridged gaps in the clip before it was scored.
     repaired: bool,
+    /// What the stream reported with the clip, for the `stream` class.
+    streamed: Option<Streamed>,
+}
+
+/// The stream's side of a [`ClipVerdict`].
+struct Streamed {
+    clip_index: usize,
+    status: SessionStatus,
+    retrigger: bool,
 }
 
 impl Clip {
     fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.outcome(&self.outcome);
+        h.record(self);
         h.0
     }
 }
@@ -148,6 +183,8 @@ struct Corpus {
     gate: QualityGate,
     clips: Vec<Clip>,
     inputs: Fnv,
+    /// Streamed samples outside the 8-bit range, which the stream clamps.
+    clamped: usize,
 }
 
 impl Corpus {
@@ -163,6 +200,7 @@ impl Corpus {
             seed,
             outcome: ClipOutcome::Conclusive(d),
             repaired: false,
+            streamed: None,
         });
     }
 
@@ -181,7 +219,43 @@ impl Corpus {
             seed,
             outcome,
             repaired,
+            streamed: None,
         });
+    }
+
+    /// Feeds every clip sample by sample into `stream`, one verdict per
+    /// clip.
+    fn stream(&mut self, stream: &mut StreamingDetector, clips: &[(u64, TracePair)]) {
+        for (seed, pair) in clips {
+            self.inputs.samples(pair.tx.samples());
+            self.inputs.samples(pair.rx.samples());
+            let samples = pair.tx.samples().iter().zip(pair.rx.samples());
+            let mut verdicts: Vec<ClipVerdict> = Vec::new();
+            for (&tx, &rx) in samples {
+                self.clamped += [tx, rx]
+                    .iter()
+                    .filter(|v| !(0.0..=255.0).contains(*v))
+                    .count();
+                let pushed = stream
+                    .push(tx, rx)
+                    .unwrap_or_else(|e| panic!("stream clip {seed}: {e}"));
+                verdicts.extend(pushed);
+            }
+            let [v] = &verdicts[..] else {
+                panic!("stream clip {seed}: {} verdicts", verdicts.len());
+            };
+            self.clips.push(Clip {
+                class: "stream",
+                seed: *seed,
+                outcome: v.outcome,
+                repaired: false,
+                streamed: Some(Streamed {
+                    clip_index: v.clip_index,
+                    status: v.status,
+                    retrigger: v.retrigger,
+                }),
+            });
+        }
     }
 }
 
@@ -196,6 +270,7 @@ fn corpus() -> (Vec<Clip>, u64) {
         gate: QualityGate::default(),
         clips: Vec::new(),
         inputs: Fnv::new(),
+        clamped: 0,
     };
     // Victims rotate over four volunteers; the detector was enrolled on
     // volunteer 0 only, so the others also exercise cross-user scores.
@@ -233,10 +308,13 @@ fn corpus() -> (Vec<Clip>, u64) {
     }
     // Gilbert–Elliott burst loss: the gate bridges short gaps and passes
     // the clip, and abstains on clips that lost too much.
-    let gaps = chats.clone().with_faults(FaultPlan {
-        burst: BurstLoss::bursty(0.08, 4.0, 0.9),
-        ..FaultPlan::none()
-    });
+    let burst = |p_enter, mean_burst, loss_bad| {
+        chats.clone().with_faults(FaultPlan {
+            burst: BurstLoss::bursty(p_enter, mean_burst, loss_bad),
+            ..FaultPlan::none()
+        })
+    };
+    let gaps = burst(0.08, 4.0, 0.9);
     for seed in 96_000..96_020 {
         c.detect_gated("gaps", seed, &gaps.legitimate(user(seed), seed).unwrap());
     }
@@ -256,6 +334,36 @@ fn corpus() -> (Vec<Clip>, u64) {
         });
         c.detect_gated("hold", seed, &holds.legitimate(user(seed), seed).unwrap());
     }
+    // The streaming path: clean calls, reenactment, light and heavy burst
+    // loss, and calls whose received luminance is lifted 200 grey levels
+    // past the 8-bit range, fed sample by sample into an ungated and a
+    // gated stream.
+    let heavy = burst(0.1, 6.0, 0.95);
+    let mut streamed: Vec<(u64, TracePair)> = Vec::new();
+    for seed in 99_000..99_005 {
+        streamed.push((seed, chats.legitimate(user(seed), seed).unwrap()));
+    }
+    for seed in 99_100..99_105 {
+        streamed.push((seed, chats.reenactment(user(seed), seed).unwrap()));
+    }
+    for seed in 99_200..99_204 {
+        streamed.push((seed, gaps.legitimate(user(seed), seed).unwrap()));
+    }
+    for seed in 99_300..99_305 {
+        streamed.push((seed, heavy.legitimate(user(seed), seed).unwrap()));
+    }
+    for seed in 99_400..99_404 {
+        let mut pair = chats.legitimate(user(seed), seed).unwrap();
+        let lifted = pair.rx.samples().iter().map(|v| v + 200.0).collect();
+        pair.rx = Signal::new(lifted, pair.rx.sample_rate()).unwrap();
+        streamed.push((seed, pair));
+    }
+    let ungated = StreamingDetector::new(c.detector.clone(), 15.0, 5).unwrap();
+    let gated = ungated.clone().with_quality_gate(QualityGate::default());
+    for mut stream in [ungated, gated] {
+        c.stream(&mut stream, &streamed);
+    }
+    assert!(c.clamped > 0, "stream: no sample left the 8-bit range");
     (c.clips, c.inputs.0)
 }
 
@@ -267,7 +375,7 @@ fn class_digests(clips: &[Clip]) -> Vec<(&'static str, usize, u64)> {
         }
         let (_, count, h) = out.last_mut().unwrap();
         *count += 1;
-        h.outcome(&clip.outcome);
+        h.record(clip);
     }
     out.into_iter().map(|(c, n, h)| (c, n, h.0)).collect()
 }
@@ -313,9 +421,20 @@ fn detector_outputs_match_the_golden_digest() {
         6
     );
 
+    let stream = |pred: &dyn Fn(&Streamed) -> bool| {
+        count("stream", &|c| c.streamed.as_ref().is_some_and(pred))
+    };
+    assert!(stream(&|s| s.retrigger) > 0, "stream: no retrigger");
+    for status in [SessionStatus::Trusted, SessionStatus::Alert] {
+        assert!(
+            stream(&|s| s.status == status) > 0,
+            "stream: never {status:?}"
+        );
+    }
+
     let mut h = Fnv::new();
     for clip in &clips {
-        h.outcome(&clip.outcome);
+        h.record(clip);
     }
     let total = h.0;
     if total == GOLDEN {
