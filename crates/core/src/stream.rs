@@ -10,7 +10,7 @@
 
 use crate::detector::{ClipOutcome, Detection, Detector};
 use crate::quality::{GateDecision, InconclusiveReason, QualityGate};
-use crate::voting::{combine_votes_gated, FusedStatus};
+use crate::voting::combine_votes;
 use crate::{CoreError, Result};
 use lumen_chat::trace::{ScenarioKind, TracePair};
 use lumen_dsp::Signal;
@@ -111,7 +111,6 @@ pub struct StreamingDetector {
     clips_done: usize,
     last_status: SessionStatus,
     gate: Option<QualityGate>,
-    min_conclusive: usize,
     watchdog: Watchdog,
 }
 
@@ -146,15 +145,12 @@ impl StreamingDetector {
             detector,
             clip_samples,
             window,
-            // Allocated on the first `push`: a stream fed whole clips
-            // through `push_clip` never buffers a sample.
             tx_buffer: Vec::new(),
             rx_buffer: Vec::new(),
             history: VecDeque::with_capacity(window),
             clips_done: 0,
             last_status: SessionStatus::Gathering,
             gate: None,
-            min_conclusive: 1,
             watchdog: Watchdog::new(),
         })
     }
@@ -166,24 +162,6 @@ impl StreamingDetector {
     pub fn with_quality_gate(mut self, gate: QualityGate) -> Self {
         self.gate = Some(gate);
         self
-    }
-
-    /// Minimum number of conclusive votes required before the fused status
-    /// leaves [`SessionStatus::Gathering`] (default 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when `n` is zero or exceeds
-    /// the voting window.
-    pub fn with_min_conclusive(mut self, n: usize) -> Result<Self> {
-        if n == 0 || n > self.window {
-            return Err(CoreError::invalid_config(
-                "min_conclusive",
-                "must lie in [1, window]",
-            ));
-        }
-        self.min_conclusive = n;
-        Ok(self)
     }
 
     /// Attaches an observability recorder to the underlying detector:
@@ -200,11 +178,6 @@ impl StreamingDetector {
         self.detector.set_recorder(recorder);
     }
 
-    /// The active quality gate, if gating is enabled.
-    pub fn gate(&self) -> Option<&QualityGate> {
-        self.gate.as_ref()
-    }
-
     /// Number of samples per clip.
     pub fn clip_samples(&self) -> usize {
         self.clip_samples
@@ -215,20 +188,22 @@ impl StreamingDetector {
         self.clips_done
     }
 
-    /// The current fused status. Inconclusive clips never enter the
-    /// history, so a degraded stretch extends the effective window instead
-    /// of forcing a verdict; until `min_conclusive` real votes accumulate
-    /// the status stays [`SessionStatus::Gathering`].
+    /// Samples of the partial clip buffered so far.
+    pub fn partial_samples(&self) -> usize {
+        self.tx_buffer.len()
+    }
+
+    /// The current fused status: the paper's [`combine_votes`] rule over
+    /// the vote ring. Abstentions never enter the ring, so a degraded
+    /// stretch neither dilutes the rejection fraction nor forces a
+    /// verdict; until the first conclusive vote the status stays
+    /// [`SessionStatus::Gathering`].
     pub fn status(&self) -> SessionStatus {
-        if self.history.is_empty() {
-            return SessionStatus::Gathering;
-        }
-        let votes: Vec<Option<bool>> = self.history.iter().map(|&v| Some(v)).collect();
-        let coefficient = self.detector.config().vote_coefficient;
-        match combine_votes_gated(&votes, coefficient, self.min_conclusive) {
-            Ok(FusedStatus::Accepted) => SessionStatus::Trusted,
-            Ok(FusedStatus::Rejected) => SessionStatus::Alert,
-            Ok(FusedStatus::Inconclusive) | Err(_) => SessionStatus::Gathering,
+        let votes: Vec<bool> = self.history.iter().copied().collect();
+        match combine_votes(&votes, self.detector.config().vote_coefficient) {
+            Ok(true) => SessionStatus::Trusted,
+            Ok(false) => SessionStatus::Alert,
+            Err(_) => SessionStatus::Gathering,
         }
     }
 
@@ -248,20 +223,34 @@ impl StreamingDetector {
                 "luminance samples must be finite",
             ));
         }
-        self.tx_buffer.push(clamp(tx_luma));
-        self.rx_buffer.push(clamp(rx_luma));
-        if self.tx_buffer.len() < self.clip_samples {
+        let Some((tx, rx)) = self.fill(tx_luma, rx_luma) else {
             return Ok(None);
-        }
-        let tx = std::mem::take(&mut self.tx_buffer);
-        let rx = std::mem::take(&mut self.rx_buffer);
+        };
         self.push_clip(tx, rx).map(Some)
+    }
+
+    /// Appends one sample pair to the partial clip as given, with no check
+    /// and no clamp, and hands the clip back, leaving the buffer empty,
+    /// once it holds [`StreamingDetector::clip_samples`] pairs. A serving
+    /// layer that queues whole clips for [`StreamingDetector::push_clip`]
+    /// buffers them here, so the partial clip is part of the stream's
+    /// [`StreamingDetector::snapshot`].
+    pub fn fill(&mut self, tx_luma: f64, rx_luma: f64) -> Option<(Vec<f64>, Vec<f64>)> {
+        self.tx_buffer.push(tx_luma);
+        self.rx_buffer.push(rx_luma);
+        if self.tx_buffer.len() < self.clip_samples {
+            return None;
+        }
+        Some((
+            std::mem::take(&mut self.tx_buffer),
+            std::mem::take(&mut self.rx_buffer),
+        ))
     }
 
     /// Judges one complete clip and fuses its verdict. The clip's vote,
     /// the watchdog and the clip count change only when the clip is
     /// judged; on `Err` the stream is as it was. The partial clip that
-    /// [`StreamingDetector::push`] buffers is not touched.
+    /// [`StreamingDetector::fill`] buffers is not touched.
     ///
     /// # Errors
     ///
@@ -406,16 +395,6 @@ impl StreamingDetector {
             self.last_status = status;
         }
         status
-    }
-
-    /// Drops any partial clip and the voting history (e.g. after the remote
-    /// party reconnects).
-    pub fn reset(&mut self) {
-        self.tx_buffer.clear();
-        self.rx_buffer.clear();
-        self.history.clear();
-        self.last_status = SessionStatus::Gathering;
-        self.watchdog = Watchdog::new();
     }
 
     /// Records a clip that an upstream layer withheld before any sample
@@ -669,6 +648,19 @@ mod tests {
     }
 
     #[test]
+    fn abstentions_do_not_dilute_rejections() {
+        let mut stream = StreamingDetector::new(detector(), 15.0, 5).unwrap();
+        stream.record_probe_vote(false);
+        stream.record_withheld();
+        stream.record_probe_vote(false);
+        stream.record_withheld();
+        // Abstentions never enter the vote ring: 3 > 0.7·3 rejects. Had
+        // they counted as accept votes, 3 <= 0.7·5 would read Trusted.
+        assert_eq!(stream.record_probe_vote(false), SessionStatus::Alert);
+        assert_eq!(stream.clips_done(), 2);
+    }
+
+    #[test]
     fn probe_vote_resets_watchdog_backoff() {
         let mut stream = StreamingDetector::new(detector(), 15.0, 3).unwrap();
         // Two withheld clips fire the first re-trigger and double the
@@ -685,25 +677,29 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let chats = ScenarioBuilder::default();
-        let mut stream = StreamingDetector::new(detector(), 15.0, 3).unwrap();
-        let pair = chats.legitimate(0, 86_000).unwrap();
-        for (tx, rx) in pair.tx.samples()[..50].iter().zip(&pair.rx.samples()[..50]) {
-            stream.push(*tx, *rx).unwrap();
-        }
-        stream.reset();
-        assert_eq!(stream.status(), SessionStatus::Gathering);
-        // A full clip is needed again after reset.
-        let verdicts = feed(&mut stream, &pair);
-        assert_eq!(verdicts.len(), 1);
-    }
-
-    #[test]
     fn rejects_non_finite_samples() {
         let mut stream = StreamingDetector::new(detector(), 15.0, 3).unwrap();
         assert!(stream.push(f64::NAN, 100.0).is_err());
         assert!(stream.push(100.0, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn fill_buffers_samples_as_given() {
+        let mut stream = StreamingDetector::new(detector(), 15.0, 3).unwrap();
+        let n = stream.clip_samples();
+        for _ in 1..n {
+            assert!(stream.fill(f64::NAN, 300.0).is_none());
+        }
+        assert_eq!(stream.partial_samples(), n - 1);
+        let (tx, rx) = stream.fill(-5.0, 400.0).unwrap();
+        assert_eq!(stream.partial_samples(), 0);
+        assert!(tx[..n - 1].iter().all(|v| v.is_nan()), "no check");
+        assert_eq!(
+            (tx[n - 1], rx[0], rx[n - 1]),
+            (-5.0, 300.0, 400.0),
+            "no clamp"
+        );
+        assert_eq!(stream.clips_done(), 0, "filling judges nothing");
     }
 
     #[test]
@@ -959,18 +955,5 @@ mod tests {
         let verdicts = feed(&mut stream, &chats.legitimate(0, 93_001).unwrap());
         assert_eq!(verdicts.len(), 1);
         assert_eq!(verdicts[0].clip_index, 3);
-    }
-
-    #[test]
-    fn min_conclusive_holds_status_at_gathering() {
-        let chats = ScenarioBuilder::default();
-        let mut stream = gated(3).with_min_conclusive(2).unwrap();
-        feed(&mut stream, &chats.legitimate(0, 90_000).unwrap());
-        // One conclusive vote is below the floor of two.
-        assert_eq!(stream.status(), SessionStatus::Gathering);
-        feed(&mut stream, &chats.legitimate(0, 90_001).unwrap());
-        assert_eq!(stream.status(), SessionStatus::Trusted);
-        assert!(gated(3).with_min_conclusive(0).is_err());
-        assert!(gated(3).with_min_conclusive(4).is_err());
     }
 }

@@ -8,7 +8,6 @@
 use crate::detector::{Detection, Detector};
 use crate::{CoreError, Result};
 use lumen_chat::trace::TracePair;
-use serde::{Deserialize, Serialize};
 
 /// The combined verdict of a voting round.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,64 +59,6 @@ pub fn combine_votes(accepted_votes: &[bool], coefficient: f64) -> Result<bool> 
     }
     let rejections = accepted_votes.iter().filter(|&&a| !a).count();
     Ok(rejections as f64 <= coefficient * accepted_votes.len() as f64)
-}
-
-/// The fused status of a quality-aware voting round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FusedStatus {
-    /// The conclusive votes accept the remote party.
-    Accepted,
-    /// The conclusive votes flag the remote party as an attacker.
-    Rejected,
-    /// Too few conclusive votes to decide either way.
-    Inconclusive,
-}
-
-/// Quality-aware [`combine_votes`]: each round's vote is `Some(accepted)`
-/// or `None` when the clip was withheld by the quality gate. Inconclusive
-/// rounds are excluded from the paper's `rejections > c × D` rule — they
-/// reflect the channel, not the callee — and when fewer than
-/// `min_conclusive` real votes remain the fusion abstains instead of
-/// deciding on noise.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] for an empty vote list, a
-/// coefficient outside `[0, 1]`, or a zero `min_conclusive`.
-pub fn combine_votes_gated(
-    votes: &[Option<bool>],
-    coefficient: f64,
-    min_conclusive: usize,
-) -> Result<FusedStatus> {
-    if votes.is_empty() {
-        return Err(CoreError::invalid_config(
-            "votes",
-            "at least one detection round is required",
-        ));
-    }
-    if min_conclusive == 0 {
-        return Err(CoreError::invalid_config(
-            "min_conclusive",
-            "must be non-zero",
-        ));
-    }
-    let conclusive: Vec<bool> = votes.iter().filter_map(|v| *v).collect();
-    if conclusive.len() < min_conclusive {
-        // Still validate the coefficient so a bad configuration surfaces
-        // on the first round rather than the first conclusive one.
-        if !(0.0..=1.0).contains(&coefficient) {
-            return Err(CoreError::invalid_config(
-                "vote_coefficient",
-                "must lie in [0, 1]",
-            ));
-        }
-        return Ok(FusedStatus::Inconclusive);
-    }
-    Ok(if combine_votes(&conclusive, coefficient)? {
-        FusedStatus::Accepted
-    } else {
-        FusedStatus::Rejected
-    })
 }
 
 /// A detector wrapper that triggers `rounds` detections and fuses them by
@@ -212,13 +153,6 @@ mod tests {
         let over: Vec<bool> = [vec![false; 8], vec![true; 2]].concat();
         assert!(!combine_votes(&over, 0.7).unwrap(), "8/10 must reject");
 
-        // The same boundary through the gated path.
-        let tie_gated: Vec<Option<bool>> = tie.iter().map(|&v| Some(v)).collect();
-        assert_eq!(
-            combine_votes_gated(&tie_gated, 0.7, 1).unwrap(),
-            FusedStatus::Accepted
-        );
-
         // Ties at other window sizes whose product is inexact in binary
         // (0.7·D for D = 20, 30: the product rounds to the exact integer).
         let d20: Vec<bool> = [vec![false; 14], vec![true; 6]].concat();
@@ -228,66 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_status_round_trips_through_serde() {
-        use serde::{Deserialize as _, Serialize as _};
-        for s in [
-            FusedStatus::Accepted,
-            FusedStatus::Rejected,
-            FusedStatus::Inconclusive,
-        ] {
-            assert_eq!(FusedStatus::deserialize(&s.serialize()).unwrap(), s);
-        }
-    }
-
-    #[test]
     fn vote_combination_validates() {
         assert!(combine_votes(&[], 0.7).is_err());
         assert!(combine_votes(&[true], 1.5).is_err());
         assert!(combine_votes(&[true], 0.0).unwrap());
         assert!(!combine_votes(&[false], 0.0).unwrap());
-    }
-
-    #[test]
-    fn gated_votes_exclude_inconclusive_rounds() {
-        // Three conclusive rejections among two abstentions: D_effective=3,
-        // rejections 3 > 0.7*3 -> rejected.
-        let votes = [Some(false), None, Some(false), None, Some(false)];
-        assert_eq!(
-            combine_votes_gated(&votes, 0.7, 1).unwrap(),
-            FusedStatus::Rejected
-        );
-        // The same rejections diluted by conclusive accepts: 3 <= 0.7*5.
-        let votes = [
-            Some(false),
-            Some(true),
-            Some(false),
-            Some(true),
-            Some(false),
-        ];
-        assert_eq!(
-            combine_votes_gated(&votes, 0.7, 1).unwrap(),
-            FusedStatus::Accepted
-        );
-    }
-
-    #[test]
-    fn gated_votes_abstain_below_floor() {
-        assert_eq!(
-            combine_votes_gated(&[None, None, Some(true)], 0.7, 2).unwrap(),
-            FusedStatus::Inconclusive
-        );
-        assert_eq!(
-            combine_votes_gated(&[None, None], 0.7, 1).unwrap(),
-            FusedStatus::Inconclusive
-        );
-    }
-
-    #[test]
-    fn gated_votes_validate() {
-        assert!(combine_votes_gated(&[], 0.7, 1).is_err());
-        assert!(combine_votes_gated(&[Some(true)], 0.7, 0).is_err());
-        assert!(combine_votes_gated(&[None], 1.5, 1).is_err());
-        assert!(combine_votes_gated(&[Some(true)], 1.5, 1).is_err());
     }
 
     #[test]

@@ -514,7 +514,7 @@ impl Workload for FleetReplay {
             let shards = snap.shards.len() as u64;
             let shard = &mut snap.shards[(id % shards) as usize];
             if let Some(entry) = shard.sessions.iter_mut().find(|e| e.id == id / shards) {
-                entry.partial_rx.push(0.0);
+                entry.stream.rx_buffer.push(0.0);
             }
         }
         let mut store: CheckpointStore<MemStorage, FleetSnapshot> =

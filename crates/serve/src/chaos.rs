@@ -132,8 +132,10 @@ impl ChaosPlan {
 /// Ways one stored [`SessionSnapshot`](crate::SessionSnapshot) is rotted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SessionCorruption {
-    /// An extra received-side sample is appended to the partial clip, so
-    /// the tx/rx shape check fails.
+    /// An extra received-side sample is appended to the stream's partial
+    /// clip, so the tx/rx shape check of
+    /// [`StreamingDetector::restore`](lumen_core::stream::StreamingDetector::restore)
+    /// fails.
     ShapeDrift,
     /// A queued clip claims to have completed in the snapshot's future,
     /// so the monotonicity check fails.
@@ -223,10 +225,10 @@ impl ChaosInjector {
                     {
                         *completed_at = snap.tick.saturating_add(1_000_000);
                     } else {
-                        session.partial_rx.push(0.0);
+                        session.stream.rx_buffer.push(0.0);
                     }
                 }
-                _ => session.partial_rx.push(0.0),
+                _ => session.stream.rx_buffer.push(0.0),
             }
             corrupted.push(session.id);
         }

@@ -2,13 +2,17 @@
 //!
 //! A checkpoint captures every piece of *mutable* runtime state — the
 //! clock tick, budget credits, fairness cursor, aggregate stats, and per
-//! session the partial clip, the pending-clip queue, the breaker position
-//! and the [`StreamSnapshot`] of the detector — but no trained model:
-//! models are immutable and deterministically re-trainable, so
-//! [`Supervisor::restore`](crate::Supervisor::restore) takes a factory
-//! that rebuilds them and grafts the snapshot state back on. Restoring a
-//! mid-clip checkpoint and replaying the remaining samples yields a
-//! byte-identical verdict sequence (see `tests/checkpoint.rs`).
+//! session the pending-clip queue, the breaker position and the
+//! [`StreamSnapshot`] of the detector, which holds the session's partial
+//! clip — but no trained model: models are immutable and deterministically
+//! re-trainable, so [`Supervisor::restore`](crate::Supervisor::restore)
+//! takes a factory that rebuilds them and grafts the snapshot state back
+//! on. The partial clip is validated in one place,
+//! [`StreamingDetector::restore`]. Restoring a mid-clip checkpoint and
+//! replaying the remaining samples yields a byte-identical verdict
+//! sequence (see `tests/checkpoint.rs`).
+//!
+//! [`StreamingDetector::restore`]: lumen_core::stream::StreamingDetector::restore
 
 use crate::breaker::BreakerState;
 use crate::supervisor::{ServeStats, ShedReason};
@@ -86,15 +90,11 @@ impl Deserialize for QueuedClip {
 pub struct SessionSnapshot {
     /// The session id.
     pub id: u64,
-    /// Transmitted-side samples of the in-progress (partial) clip.
-    pub partial_tx: Vec<f64>,
-    /// Received-side samples of the in-progress (partial) clip.
-    pub partial_rx: Vec<f64>,
     /// Pending clips and shed tombstones, front first.
     pub queue: Vec<QueuedClip>,
     /// The circuit breaker's position.
     pub breaker: BreakerState,
-    /// The streaming detector's mutable state.
+    /// The streaming detector's mutable state, the partial clip included.
     pub stream: StreamSnapshot,
     /// The probe director — policy, budget spent, cooldown and any
     /// in-flight challenge — for sessions admitted with active probing.

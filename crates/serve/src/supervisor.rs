@@ -325,8 +325,6 @@ impl ShardBreakdown {
 #[derive(Debug)]
 struct SessionSlot {
     stream: StreamingDetector,
-    partial_tx: Vec<f64>,
-    partial_rx: Vec<f64>,
     queue: VecDeque<QueuedClip>,
     breaker: CircuitBreaker,
     probe: Option<ProbeDirector>,
@@ -456,6 +454,10 @@ impl Supervisor {
     /// Admits a new session around the given (already trained) streaming
     /// detector. At capacity the session is explicitly turned away —
     /// counted in [`ServeStats::rejected_sessions`], never queued.
+    ///
+    /// The stream's whole state carries into the session, its partial
+    /// clip included: samples pushed before admission are the start of
+    /// the session's first offered clip.
     pub fn admit(&mut self, stream: StreamingDetector) -> AdmitOutcome {
         self.admit_with(stream, None)
     }
@@ -503,8 +505,6 @@ impl Supervisor {
             session,
             SessionSlot {
                 stream,
-                partial_tx: Vec::new(),
-                partial_rx: Vec::new(),
                 queue: VecDeque::new(),
                 breaker: CircuitBreaker::new(self.config.breaker),
                 probe,
@@ -550,6 +550,10 @@ impl Supervisor {
     /// Feeds one luminance sample pair into a session. Returns the clip's
     /// disposition when this sample completes a clip, `None` mid-clip.
     ///
+    /// The sample joins the partial clip in the session stream's own
+    /// buffer ([`StreamingDetector::fill`]) unchecked: a non-finite sample
+    /// surfaces when its clip is judged.
+    ///
     /// Samples are accepted unconditionally (backpressure acts on whole
     /// clips, the unit of detection work): when the completed clip cannot
     /// be queued — queue at capacity, or the session's breaker open — it
@@ -565,13 +569,9 @@ impl Supervisor {
         let Some(slot) = self.sessions.get_mut(&session) else {
             return Err(ServeError::UnknownSession(session));
         };
-        slot.partial_tx.push(tx);
-        slot.partial_rx.push(rx);
-        if slot.partial_tx.len() < slot.stream.clip_samples() {
+        let Some((tx, rx)) = slot.stream.fill(tx, rx) else {
             return Ok(None);
-        }
-        let tx = std::mem::take(&mut slot.partial_tx);
-        let rx = std::mem::take(&mut slot.partial_rx);
+        };
         self.stats.offered_clips += 1;
         let _scope = self.recorder.session_scope(session);
         self.recorder.add("serve.offered", 1);
@@ -921,7 +921,7 @@ impl Supervisor {
             .get(&session)
             .ok_or(ServeError::UnknownSession(session))?;
         let clips = slot.stream.clips_done() + slot.queue.len();
-        Ok((clips * slot.stream.clip_samples() + slot.partial_tx.len()) as u64)
+        Ok((clips * slot.stream.clip_samples() + slot.stream.partial_samples()) as u64)
     }
 
     /// Queue entries (clips and tombstones) not yet resolved, across all
@@ -1129,8 +1129,6 @@ impl Supervisor {
                 .iter()
                 .map(|(&id, slot)| SessionSnapshot {
                     id,
-                    partial_tx: slot.partial_tx.clone(),
-                    partial_rx: slot.partial_rx.clone(),
                     queue: slot.queue.iter().cloned().collect(),
                     breaker: slot.breaker.state(),
                     stream: slot.stream.snapshot(),
@@ -1150,10 +1148,11 @@ impl Supervisor {
     ///
     /// Returns [`ServeError::InvalidConfig`] for an invalid `config`,
     /// [`ServeError::BadSnapshot`] for duplicate session ids, a stale
-    /// `next_id`, mismatched partial buffers, a queued clip completed
-    /// after the checkpoint tick (a non-monotonic snapshot) or one that is
-    /// not one clip long, and
-    /// propagates factory and [`StreamingDetector::restore`] errors.
+    /// `next_id`, a queued clip completed after the checkpoint tick (a
+    /// non-monotonic snapshot) or one that is not one clip long, and
+    /// propagates factory and [`StreamingDetector::restore`] errors; the
+    /// latter include a partial clip whose tx and rx sides disagree or
+    /// that does not fit one clip.
     pub fn restore<F>(
         config: ServeConfig,
         snap: &SupervisorSnapshot,
@@ -1293,25 +1292,6 @@ impl Supervisor {
                 s.id
             )));
         }
-        if s.partial_tx.len() != s.partial_rx.len() {
-            return Err(ServeError::bad_snapshot(format!(
-                "session {}: partial tx/rx buffers disagree: {} vs {}",
-                s.id,
-                s.partial_tx.len(),
-                s.partial_rx.len()
-            )));
-        }
-        // A supervised stream judges whole clips (`push_clip`) and never
-        // buffers samples of its own, so buffered samples mean rot.
-        if !s.stream.tx_buffer.is_empty() || !s.stream.rx_buffer.is_empty() {
-            return Err(ServeError::bad_snapshot(format!(
-                "session {}: stream buffers hold {} tx and {} rx samples, but a supervised \
-                 stream never buffers",
-                s.id,
-                s.stream.tx_buffer.len(),
-                s.stream.rx_buffer.len()
-            )));
-        }
         for entry in &s.queue {
             if let QueuedClip::Clip { completed_at, .. } = entry {
                 if *completed_at > snap_tick {
@@ -1325,14 +1305,6 @@ impl Supervisor {
         }
         let mut stream = factory(s.id)?;
         stream.restore(&s.stream)?;
-        if s.partial_tx.len() >= stream.clip_samples() {
-            return Err(ServeError::bad_snapshot(format!(
-                "session {}: partial clip of {} samples does not fit a {}-sample clip",
-                s.id,
-                s.partial_tx.len(),
-                stream.clip_samples()
-            )));
-        }
         for entry in &s.queue {
             if let QueuedClip::Clip { tx, rx, .. } = entry {
                 if tx.len() != stream.clip_samples() || rx.len() != stream.clip_samples() {
@@ -1349,8 +1321,6 @@ impl Supervisor {
         }
         Ok(SessionSlot {
             stream,
-            partial_tx: s.partial_tx.clone(),
-            partial_rx: s.partial_rx.clone(),
             queue: s.queue.iter().cloned().collect(),
             breaker: CircuitBreaker::with_state(config.breaker, s.breaker),
             probe: s.probe.clone(),
@@ -1913,6 +1883,47 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_admitted_mid_clip_carries_its_partial_clip() {
+        let build = |_: u64| StreamingDetector::new(detector(), 15.0, 3);
+        let pair = ScenarioBuilder::default().legitimate(0, 78_000).unwrap();
+        let samples: Vec<(f64, f64)> = pair
+            .tx
+            .samples()
+            .iter()
+            .copied()
+            .zip(pair.rx.samples().iter().copied())
+            .collect();
+        let mut reference = stream();
+        let expected: Vec<ClipVerdict> = samples
+            .iter()
+            .filter_map(|&(tx, rx)| reference.push(tx, rx).unwrap())
+            .collect();
+        assert_eq!(expected.len(), 1);
+        // Five samples reach the stream before it is admitted.
+        let mut early = stream();
+        for &(tx, rx) in &samples[..5] {
+            assert!(early.push(tx, rx).unwrap().is_none());
+        }
+        let mut sup = Supervisor::new(relaxed()).unwrap();
+        let id = sup.admit(early).session().unwrap();
+        assert_eq!(sup.samples_offered(id).unwrap(), 5);
+        for (i, &(tx, rx)) in samples.iter().enumerate().skip(5) {
+            let completes = i + 1 == samples.len();
+            assert_eq!(
+                sup.offer(id, tx, rx).unwrap(),
+                completes.then_some(ClipAdmission::Admitted),
+                "sample {i}"
+            );
+        }
+        while sup.pending_clips() > 0 {
+            sup.tick();
+        }
+        assert_eq!(verdicts_of(&sup.drain_events(), id), expected);
+        let restored = Supervisor::restore(relaxed(), &sup.snapshot(), build).unwrap();
+        assert_eq!(restored.samples_offered(id).unwrap(), 150);
+    }
+
+    #[test]
     fn restore_rejects_corrupt_snapshots() {
         let build = |_: u64| StreamingDetector::new(detector(), 15.0, 3);
         let mut sup = Supervisor::new(relaxed()).unwrap();
@@ -1922,7 +1933,7 @@ mod tests {
         bad.next_id = 0; // session 0 exists, so next_id must exceed it
         assert!(Supervisor::restore(relaxed(), &bad, build).is_err());
         let mut bad = good.clone();
-        bad.sessions[0].partial_rx.push(1.0);
+        bad.sessions[0].stream.rx_buffer.push(1.0);
         assert!(Supervisor::restore(relaxed(), &bad, build).is_err());
         let mut bad = good.clone();
         bad.sessions.push(bad.sessions[0].clone());
@@ -1999,35 +2010,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_samples_buffered_in_a_session_stream() {
-        let build = |_: u64| StreamingDetector::new(detector(), 15.0, 3);
-        let mut sup = Supervisor::new(relaxed()).unwrap();
-        let a = sup.admit(stream()).session().unwrap();
-        let b = sup.admit(stream()).session().unwrap();
-        let mut bad = sup.snapshot();
-        bad.sessions[1].stream.tx_buffer = vec![100.0; 10];
-        bad.sessions[1].stream.rx_buffer = vec![100.0; 10];
-        let expected = format!("session {b}: stream buffers hold 10 tx and 10 rx samples");
-        match Supervisor::restore(relaxed(), &bad, build) {
-            Err(ServeError::BadSnapshot(reason)) => {
-                assert!(reason.contains(&expected), "{reason}");
-            }
-            other => panic!("expected BadSnapshot, got {other:?}"),
-        }
-        let (restored, report) =
-            Supervisor::restore_with_report(relaxed(), &bad, build, &Recorder::null()).unwrap();
-        assert_eq!(report.restored, vec![a]);
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.quarantined[0].id, b);
-        assert!(
-            report.quarantined[0].reason.contains(&expected),
-            "{}",
-            report.quarantined[0].reason
-        );
-        assert_eq!(restored.session_ids(), vec![a]);
-    }
-
-    #[test]
     fn restore_with_report_quarantines_bad_sessions_and_keeps_the_rest() {
         let build = |_: u64| StreamingDetector::new(detector(), 15.0, 3);
         let (recorder, sink) = Recorder::in_memory();
@@ -2037,14 +2019,16 @@ mod tests {
         let mut snap = sup.snapshot();
         // Rot session b's entry: its partial buffers disagree in shape.
         let slot = snap.sessions.iter_mut().find(|s| s.id == b).unwrap();
-        slot.partial_rx.push(0.0);
+        slot.stream.rx_buffer.push(0.0);
         let (restored, report) =
             Supervisor::restore_with_report(relaxed(), &snap, build, &recorder).unwrap();
         assert_eq!(report.restored, vec![a]);
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].id, b);
         assert!(
-            report.quarantined[0].reason.contains("partial tx/rx"),
+            report.quarantined[0]
+                .reason
+                .contains("tx/rx partial buffers disagree"),
             "{}",
             report.quarantined[0].reason
         );
