@@ -104,9 +104,16 @@ const WINDOW: Duration = Duration::from_millis(1);
 /// preempted batch does not move the figure.
 const ROUNDS: usize = 5;
 
-/// Detections behind the `stage.*` rows: enough that a stage's p99 is
-/// the 10th-slowest span, not the slowest.
+/// Detections in each of the [`ROUNDS`] timed rounds behind the `stage.*`
+/// rows: enough that a stage's p99 is the 10th-slowest span of the round,
+/// not the slowest.
 const STAGE_SPANS: usize = 1_000;
+
+/// The median of `ROUNDS` measurements.
+fn median(mut rounds: Vec<f64>) -> f64 {
+    rounds.sort_by(f64::total_cmp);
+    rounds[ROUNDS / 2]
+}
 
 /// Wall-clock milliseconds per call of `f`: after one warm-up call the
 /// batch size doubles until a batch fills [`WINDOW`], then the median of
@@ -124,11 +131,11 @@ fn time_ms<T>(mut f: impl FnMut() -> T) -> f64 {
     while batch(calls) < WINDOW {
         calls *= 2;
     }
-    let mut per_call: Vec<f64> = (0..ROUNDS)
-        .map(|_| batch(calls).as_secs_f64() * 1000.0 / f64::from(calls))
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[ROUNDS / 2]
+    median(
+        (0..ROUNDS)
+            .map(|_| batch(calls).as_secs_f64() * 1000.0 / f64::from(calls))
+            .collect(),
+    )
 }
 
 /// One micro case: the `micro.<name>_ms` row it fills, an absolute
@@ -411,31 +418,38 @@ fn run_suite(label: &str) -> Result<BenchReport, String> {
 
     // Macro: the Sec. IX per-stage breakdown — the overhead experiment's
     // stage spans, over enough detections of the standard legitimate and
-    // attack clips that a stage's p99 is not its slowest span.
+    // attack clips that a stage's p99 is not its slowest span. Each row is
+    // the median of ROUNDS timed rounds, the micro rows' rule, so a host
+    // stall shorter than one round moves at most two of them.
     eprintln!("[lumen-bench] macro: per-stage spans");
-    let staged = overhead::time_stages(
-        &trained_detector(),
-        &[standard_pair(), attack_pair()],
-        STAGE_SPANS,
-    )
-    .map_err(|e| format!("stage spans: {e}"))?;
+    let detector = trained_detector();
+    let clips = [standard_pair(), attack_pair()];
+    let rounds = (0..ROUNDS)
+        .map(|_| overhead::time_stages(&detector, &clips, STAGE_SPANS))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("stage spans: {e}"))?;
     for name in overhead::STAGES {
-        let row = staged
-            .stages
-            .iter()
-            .find(|s| s.name == *name)
-            .ok_or(format!("stage spans: no `{name}` span"))?;
-        let budget = (row.name == lumen_obs::stage::DETECT).then_some(CLIP_BUDGET_MS);
+        let (mut mean_ms, mut p99_ms) = (Vec::new(), Vec::new());
+        for staged in &rounds {
+            let row = staged
+                .stages
+                .iter()
+                .find(|s| s.name == *name)
+                .ok_or(format!("stage spans: no `{name}` span"))?;
+            mean_ms.push(row.mean_ms);
+            p99_ms.push(row.p99_ms);
+        }
+        let budget = (*name == lumen_obs::stage::DETECT).then_some(CLIP_BUDGET_MS);
         metrics.push(metric(
-            &format!("stage.{}.mean_ms", row.name),
-            row.mean_ms,
+            &format!("stage.{name}.mean_ms"),
+            median(mean_ms),
             "ms",
             "timing",
             budget,
         ));
         metrics.push(metric(
-            &format!("stage.{}.p99_ms", row.name),
-            row.p99_ms,
+            &format!("stage.{name}.p99_ms"),
+            median(p99_ms),
             "ms",
             "timing",
             budget,
