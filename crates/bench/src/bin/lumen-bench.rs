@@ -4,11 +4,11 @@
 //! `run` executes a fixed suite of micro cases (whole-clip detection with
 //! and without instrumentation, the pipeline stages, the DSP primitives,
 //! LOF scoring and the k-NN backends, landmarks, obs primitives, one
-//! active-probe round), the Sec. IX per-stage span table, and macro
-//! experiments (overload, chaos, daemon, dsoak and fleet, each run once),
-//! and writes a `BENCH_<label>.json` report. `check` compares two reports
-//! metric by metric and exits non-zero on a regression, which is the
-//! whole CI gate.
+//! active-probe round, a checkpoint commit and load, the CRC-32), the
+//! Sec. IX per-stage span table, and macro experiments (overload, chaos,
+//! daemon, dsoak and fleet, each run once), and writes a
+//! `BENCH_<label>.json` report. `check` compares two reports metric by
+//! metric and exits non-zero on a regression, which is the whole CI gate.
 //!
 //! Three metric kinds with different gating rules keep the gate honest
 //! across machines:
@@ -30,8 +30,8 @@ use lumen_attack::baseline::{
     BaselineDetector, CorrelationThresholdDetector, NaiveTimestampDetector,
 };
 use lumen_bench::{
-    attack_pair, knn_backends, probe_round, standard_features, standard_frame, standard_landmarks,
-    standard_pair, trained_detector, training_pairs,
+    attack_pair, checkpoint_snapshot, knn_backends, memory_store, probe_round, standard_features,
+    standard_frame, standard_landmarks, standard_pair, trained_detector, training_pairs,
 };
 use lumen_core::detector::Detector;
 use lumen_core::preprocess::{preprocess_rx, preprocess_tx};
@@ -49,6 +49,7 @@ use lumen_face::render::FaceRenderer;
 use lumen_face::roi::roi_luminance;
 use lumen_obs::{InMemorySink, NullSink, Recorder};
 use lumen_probe::ChallengeSchedule;
+use lumen_serve::store::crc32;
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 use std::fmt::Display;
@@ -193,6 +194,10 @@ fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
     let (recorder, _events) = Recorder::in_memory();
     let disabled = Recorder::null();
     let probe = probe_round();
+    let checkpoint = checkpoint_snapshot(600);
+    let mut commit_store = memory_store(&[]);
+    let mut load_store = memory_store(std::slice::from_ref(&checkpoint));
+    let crc_input: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 31 % 251) as u8).collect();
     let clip = Some(CLIP_BUDGET_MS);
 
     let cases = vec![
@@ -352,6 +357,23 @@ fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
                 .verifier
                 .verify(black_box(&probe.schedule), black_box(&probe.response))
         }),
+        // The checkpoint path: a durable daemon's 600-session mid-clip
+        // snapshot committed to and loaded from the in-memory store, and
+        // the CRC-32 that frames every record and wire frame.
+        case("store_commit_600_sessions", None, || {
+            commit_store.commit(checkpoint.tick, black_box(&checkpoint))
+        }),
+        case("store_load_600_sessions", None, || {
+            match load_store.load_latest() {
+                Ok(report) => report.loaded.ok_or("no generation loaded".to_string()),
+                Err(e) => Err(e.to_string()),
+            }
+        }),
+        case(
+            "crc32_64kib",
+            None,
+            infallible(|| crc32(black_box(&crc_input))),
+        ),
     ];
     eprintln!("[lumen-bench] micro: {} cases", cases.len());
     for mut c in cases {

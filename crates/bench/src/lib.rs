@@ -16,6 +16,7 @@ use lumen_chat::session::SessionConfig;
 use lumen_chat::trace::TracePair;
 use lumen_core::detector::Detector;
 use lumen_core::features::FeatureVector;
+use lumen_core::stream::StreamingDetector;
 use lumen_core::Config;
 use lumen_face::detect::detect_landmarks;
 use lumen_face::geometry::FaceGeometry;
@@ -24,6 +25,9 @@ use lumen_face::render::FaceRenderer;
 use lumen_lof::kdtree::KdTree;
 use lumen_lof::knn::KnnIndex;
 use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbeInjector, ProbeVerifier, VerifierConfig};
+use lumen_serve::{
+    CheckpointStore, MemStorage, ServeConfig, StoreConfig, Supervisor, SupervisorSnapshot,
+};
 use lumen_video::frame::Frame;
 
 /// A deterministic 15-second legitimate trace pair (10 Hz).
@@ -125,6 +129,63 @@ pub fn probe_round() -> ProbeRound {
     }
 }
 
+/// Samples per 15-second clip at 10 Hz.
+const CLIP_SAMPLES: usize = 150;
+
+/// A supervisor checkpoint of `sessions` sessions caught mid-clip, the
+/// shape a durable daemon commits. Each session streams one of eight
+/// seeded legitimate traces through a vote-window-3 stream and starts
+/// `150 · s / sessions` samples late; after two clip periods every
+/// session has had a clip served, and their partial clips hold 0 to 149
+/// samples.
+pub fn checkpoint_snapshot(sessions: usize) -> SupervisorSnapshot {
+    let detector = trained_detector();
+    let chats = ScenarioBuilder::default();
+    let pairs: Vec<TracePair> = (0..8)
+        .map(|k| {
+            chats
+                .legitimate(0, 70_000 + k)
+                .expect("checkpoint scenario")
+        })
+        .collect();
+    let config = ServeConfig {
+        max_sessions: sessions,
+        budget_clips: sessions as u64,
+        budget_period_ticks: 1,
+        deadline_ticks: 1_000_000,
+        ..ServeConfig::default()
+    };
+    let mut sup = Supervisor::new(config).expect("checkpoint serve config");
+    for _ in 0..sessions {
+        let stream = StreamingDetector::new(detector.clone(), 15.0, 3).expect("stream config");
+        sup.admit(stream).session().expect("session admitted");
+    }
+    let phase = |s: usize| s * CLIP_SAMPLES / sessions.max(1);
+    for turn in 0..2 * CLIP_SAMPLES {
+        for s in 0..sessions {
+            if let Some(i) = turn.checked_sub(phase(s)) {
+                let pair = &pairs[s % pairs.len()];
+                let i = i % CLIP_SAMPLES;
+                sup.offer(s as u64, pair.tx.samples()[i], pair.rx.samples()[i])
+                    .expect("session offered");
+            }
+        }
+        sup.tick();
+    }
+    sup.snapshot()
+}
+
+/// An in-memory checkpoint store with the default policy, holding
+/// `committed` as its generations, oldest first.
+pub fn memory_store(committed: &[SupervisorSnapshot]) -> CheckpointStore<MemStorage> {
+    let mut store = CheckpointStore::new(MemStorage::new(), StoreConfig::default())
+        .expect("default store config");
+    for snap in committed {
+        store.commit(snap.tick, snap).expect("in-memory commit");
+    }
+    store
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +206,17 @@ mod tests {
             .verifier
             .verify(&probe.schedule, &probe.response)
             .is_ok());
+        let snap = checkpoint_snapshot(8);
+        assert_eq!(snap.sessions.len(), 8);
+        assert!(snap.sessions.iter().all(|s| s.stream.clips_done >= 1));
+        let partial: Vec<usize> = snap
+            .sessions
+            .iter()
+            .map(|s| s.stream.tx_buffer.len())
+            .collect();
+        assert_eq!(partial, [0, 132, 113, 94, 75, 57, 38, 19]);
+        let mut store = memory_store(std::slice::from_ref(&snap));
+        let loaded = store.load_latest().unwrap().loaded.unwrap();
+        assert_eq!(loaded.snapshot, snap);
     }
 }

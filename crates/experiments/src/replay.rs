@@ -27,6 +27,7 @@ use lumen_chat::feed::SampleFeed;
 use lumen_core::stream::{ClipVerdict, StreamSnapshot, StreamingDetector};
 use lumen_fleet::{Fleet, FleetAdmitOutcome, FleetConfig, FleetEvent, FleetSnapshot};
 use lumen_obs::Recorder;
+use lumen_serve::store::{decode_payload, encode_payload};
 use lumen_serve::{
     CheckpointStore, MemStorage, SessionEvent, SessionEventKind, StoreConfig, Supervisor,
     SupervisorSnapshot,
@@ -264,9 +265,10 @@ pub fn clip_verdict(kind: &SessionEventKind) -> Option<&ClipVerdict> {
 
 /// Drives one [`Supervisor`]: session `i` streams `feeds[i]`, and every
 /// step offers each feed's next sample, then ticks. A kill round-trips the
-/// snapshot through serde JSON, drops the supervisor and restores it. The
-/// final counters are the whole event stream, the [`ServeStats`](lumen_serve::ServeStats)
-/// and every session's [`StreamSnapshot`].
+/// snapshot through the checkpoint store's payload codec, drops the
+/// supervisor and restores it. The final counters are the whole event
+/// stream, the [`ServeStats`](lumen_serve::ServeStats) and every session's
+/// [`StreamSnapshot`].
 pub struct SupervisorReplay {
     sup: Supervisor,
     template: StreamingDetector,
@@ -353,9 +355,9 @@ impl Workload for SupervisorReplay {
     ) -> ExpResult<Restored> {
         self.book_events(books);
         let snap = self.sup.snapshot();
-        let back: SupervisorSnapshot = serde_json::from_str(&serde_json::to_string(&snap)?)?;
+        let back: SupervisorSnapshot = decode_payload(&encode_payload(&snap))?;
         if back != snap {
-            return Err("supervisor snapshot did not survive serde".into());
+            return Err("supervisor snapshot did not survive the payload codec".into());
         }
         let template = &self.template;
         self.sup = Supervisor::restore(self.sup.config().clone(), &back, |_| Ok(template.clone()))?;

@@ -7,7 +7,9 @@
 //! * **Self-validating records** — every stored generation is framed as
 //!   `magic ∥ version ∥ generation ∥ payload-length ∥ payload ∥ CRC32`,
 //!   so a torn write (truncated record) or a bit flip anywhere in the
-//!   file is *detected* at load time, never silently restored.
+//!   file is *detected* at load time, never silently restored. The
+//!   payload is the snapshot's serde value tree in the binary encoding of
+//!   [`encode_payload`], which keeps every `f64` bit-exact.
 //! * **Generation rotation** — each commit writes a fresh
 //!   `ckpt-<generation>.lmck` entry and prunes the oldest beyond a
 //!   configured retention, so one corrupt write can never destroy the
@@ -35,12 +37,17 @@ use lumen_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
 pub mod dir;
+mod payload;
+
+pub use payload::{decode_payload, encode_payload, MAX_PAYLOAD_DEPTH};
 
 /// Leading magic of every framed checkpoint record.
 pub const MAGIC: [u8; 4] = *b"LMCK";
 
-/// On-disk format version written into every record.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version written into every record. Version 2 carries
+/// the binary payload of [`encode_payload`]; version 1 carried JSON text
+/// and is refused as [`CorruptReason::BadVersion`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Framed header length: magic + version + generation + payload length.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -87,6 +94,8 @@ impl fmt::Display for CorruptReason {
     }
 }
 
+impl std::error::Error for CorruptReason {}
+
 /// Errors produced by the checkpoint store and its storage backends.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -100,8 +109,6 @@ pub enum StoreError {
     },
     /// The storage backend failed an operation.
     Io(String),
-    /// A snapshot could not be encoded for storage.
-    Encode(String),
 }
 
 impl StoreError {
@@ -121,7 +128,6 @@ impl fmt::Display for StoreError {
                 write!(f, "invalid store config `{field}`: {reason}")
             }
             StoreError::Io(reason) => write!(f, "storage backend failed: {reason}"),
-            StoreError::Encode(reason) => write!(f, "snapshot failed to encode: {reason}"),
         }
     }
 }
@@ -404,10 +410,13 @@ impl Storage for MemStorage {
     }
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slice-by-8 tables of the reflected IEEE CRC-32: `CRC32_TABLES[0][b]`
+/// is the CRC of byte `b`, and `CRC32_TABLES[k][b]` that of `b` followed
+/// by `k` zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -420,17 +429,41 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -454,7 +487,7 @@ pub fn encode_record(generation: u64, payload: &[u8]) -> Vec<u8> {
 ///
 /// Returns the [`CorruptReason`] describing the first framing violation:
 /// truncation, bad magic/version, a length or checksum mismatch.
-pub fn decode_record(bytes: &[u8]) -> Result<(u64, Vec<u8>), CorruptReason> {
+pub fn decode_record(bytes: &[u8]) -> Result<(u64, &[u8]), CorruptReason> {
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(CorruptReason::Truncated);
     }
@@ -486,10 +519,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<(u64, Vec<u8>), CorruptReason> {
     if crc32(body) != stored {
         return Err(CorruptReason::ChecksumMismatch);
     }
-    Ok((
-        generation,
-        bytes[HEADER_LEN..bytes.len() - TRAILER_LEN].to_vec(),
-    ))
+    Ok((generation, &body[HEADER_LEN..]))
 }
 
 /// Retention and retry policy of a [`CheckpointStore`].
@@ -750,16 +780,14 @@ impl<S: Storage, T: Serialize + Deserialize> CheckpointStore<S, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Encode`] when the snapshot cannot be
-    /// serialized. Backend write failures are *not* errors — they arm the
-    /// retry and report [`CommitOutcome::Retrying`].
+    /// None today: every snapshot encodes, and backend write failures are
+    /// *not* errors — they arm the retry and report
+    /// [`CommitOutcome::Retrying`].
     pub fn commit(&mut self, now: u64, snapshot: &T) -> Result<CommitOutcome, StoreError> {
-        let payload =
-            serde_json::to_string(snapshot).map_err(|e| StoreError::Encode(format!("{e:?}")))?;
         let generation = self.next_generation;
         self.next_generation += 1;
         let name = entry_name(generation);
-        let bytes = encode_record(generation, payload.as_bytes());
+        let bytes = encode_record(generation, &encode_payload(snapshot));
         if self.pending.take().is_some() {
             self.stats.superseded += 1;
             self.recorder.add("store.superseded", 1);
@@ -862,7 +890,7 @@ impl<S: Storage, T: Serialize + Deserialize> CheckpointStore<S, T> {
                     Ok((framed_generation, _)) if framed_generation != generation => {
                         CorruptReason::GenerationMismatch
                     }
-                    Ok((_, payload)) => match decode_snapshot(&payload) {
+                    Ok((_, payload)) => match decode_payload(payload) {
                         Err(reason) => reason,
                         Ok(snapshot) => {
                             return Ok(LoadReport {
@@ -945,16 +973,20 @@ pub fn parse_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Decodes the JSON payload of a validated record.
-fn decode_snapshot<T: Deserialize>(payload: &[u8]) -> Result<T, CorruptReason> {
-    let text = std::str::from_utf8(payload).map_err(|_| CorruptReason::BadPayload)?;
-    serde_json::from_str(text).map_err(|_| CorruptReason::BadPayload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::supervisor::ServeStats;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time CRC-32 that [`crc32`] must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     fn empty_snapshot(tick: u64) -> SupervisorSnapshot {
         SupervisorSnapshot {
@@ -973,6 +1005,54 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_loop(
+            bytes in prop::collection::vec(any::<u8>(), 0..300),
+            skip in 0usize..8,
+        ) {
+            // Every length and every start offset modulo the 8-byte step.
+            let bytes = &bytes[skip.min(bytes.len())..];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
+    }
+
+    #[test]
+    fn version_one_record_is_quarantined_as_bad_version() {
+        // A version-1 record framed JSON text; the store no longer reads
+        // it, and says why.
+        let mut record = encode_record(1, br#"{"tick":0,"credits":0}"#);
+        record[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let body = record.len() - TRAILER_LEN;
+        let crc = crc32(&record[..body]);
+        record[body..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode_record(&record), Err(CorruptReason::BadVersion));
+        let mut storage = MemStorage::new();
+        storage.write(&entry_name(1), &record).unwrap();
+        let mut store: CheckpointStore<_, SupervisorSnapshot> =
+            CheckpointStore::new(storage, StoreConfig::default()).unwrap();
+        let report = store.load_latest().unwrap();
+        assert!(report.loaded.is_none());
+        assert_eq!(
+            report.quarantined,
+            [QuarantinedGeneration {
+                name: entry_name(1),
+                reason: CorruptReason::BadVersion,
+            }]
+        );
+    }
+
+    #[test]
+    fn undecodable_payload_is_quarantined_as_bad_payload() {
+        let mut store = CheckpointStore::new(MemStorage::new(), StoreConfig::default()).unwrap();
+        store.commit(1, &empty_snapshot(1)).unwrap();
+        let record = encode_record(2, &encode_payload(&"not a snapshot"));
+        store.storage_mut().write(&entry_name(2), &record).unwrap();
+        let report = store.load_latest().unwrap();
+        assert_eq!(report.loaded.unwrap().generation, 1);
+        assert_eq!(report.quarantined[0].reason, CorruptReason::BadPayload);
     }
 
     #[test]

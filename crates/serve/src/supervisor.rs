@@ -1369,6 +1369,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{decode_payload, encode_payload};
     use lumen_chat::scenario::ScenarioBuilder;
     use lumen_chat::trace::TracePair;
     use lumen_core::detector::Detector;
@@ -1851,10 +1852,9 @@ mod tests {
         }
         let drained = sup.drain_events();
         assert!(!drained.is_empty());
-        // Snapshot → JSON → snapshot must be lossless.
+        // Snapshot → checkpoint payload → snapshot must be lossless.
         let snap = sup.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: SupervisorSnapshot = serde_json::from_str(&json).unwrap();
+        let back: SupervisorSnapshot = decode_payload(&encode_payload(&snap)).unwrap();
         assert_eq!(back, snap);
         // The restored supervisor is indistinguishable going forward.
         let mut restored = Supervisor::restore(sup.config().clone(), &back, build).unwrap();

@@ -3,7 +3,7 @@
 //! quality gate abstains and the watchdog is mid-backoff. The faulty
 //! scenario matters: it is the watchdog counters, vote history and
 //! partial clip buffers — not just the trained model — that have to
-//! survive the round trip through serde.
+//! survive the round trip through the checkpoint store's payload codec.
 
 use lumen::chat::fault::{BurstLoss, FaultPlan};
 use lumen::chat::feed::SampleFeed;
@@ -14,6 +14,7 @@ use lumen::core::stream::{ClipVerdict, StreamSnapshot, StreamingDetector};
 use lumen::core::Config;
 use lumen::experiments::replay::{Books, ReplayAudit, Restored, SupervisorReplay, Workload};
 use lumen::experiments::ExpResult;
+use lumen::serve::store::{decode_payload, encode_payload};
 use lumen::serve::{ServeConfig, Supervisor, SupervisorSnapshot};
 
 fn heavy_burst() -> FaultPlan {
@@ -58,7 +59,8 @@ fn degraded_run(clips: usize) -> (SampleFeed, ReplayAudit) {
 }
 
 /// One gated stream fed sample by sample. A kill round-trips its
-/// `StreamSnapshot` through serde into a freshly built stream.
+/// `StreamSnapshot` through the checkpoint payload codec into a freshly
+/// built stream.
 struct StreamRun {
     stream: StreamingDetector,
     fresh: StreamingDetector,
@@ -85,8 +87,8 @@ impl Workload for StreamRun {
 
     fn kill_and_restore(&mut self, step: usize, _: &mut Books<ClipVerdict>) -> ExpResult<Restored> {
         let snap = self.stream.snapshot();
-        let back: StreamSnapshot = serde_json::from_str(&serde_json::to_string(&snap)?)?;
-        assert_eq!(back, snap, "snapshot must round-trip through serde");
+        let back: StreamSnapshot = decode_payload(&encode_payload(&snap))?;
+        assert_eq!(back, snap, "snapshot must round-trip through the codec");
         self.stream = self.fresh.clone();
         self.stream.restore(&back)?;
         Ok(Restored {
@@ -195,17 +197,17 @@ fn in_flight_probe_survives_checkpoint_byte_identically() {
         .expect("the inconclusive clip must raise a probe request");
 
     // Checkpoint with the challenge outstanding, then restore twice: the
-    // snapshot must carry the director verbatim, and serializing the
+    // snapshot must carry the director verbatim, and encoding the
     // restored supervisor must reproduce the checkpoint byte-for-byte.
     let snap = sup.snapshot();
-    let json = serde_json::to_string(&snap).expect("snapshot serializes");
-    let back: SupervisorSnapshot = serde_json::from_str(&json).expect("snapshot decodes");
-    assert_eq!(back, snap, "snapshot must round-trip through serde");
+    let payload = encode_payload(&snap);
+    let back: SupervisorSnapshot = decode_payload(&payload).expect("snapshot decodes");
+    assert_eq!(back, snap, "snapshot must round-trip through the codec");
     let restored =
         Supervisor::restore(config.clone(), &back, |_| Ok(gated(&detector))).expect("restores");
     assert_eq!(
-        serde_json::to_string(&restored.snapshot()).expect("snapshot serializes"),
-        json,
+        encode_payload(&restored.snapshot()),
+        payload,
         "a restored supervisor must checkpoint byte-identically"
     );
     assert_eq!(
@@ -229,4 +231,77 @@ fn in_flight_probe_survives_checkpoint_byte_identically() {
     let replayed = restored.resolve_probe(id, &pair).expect("resolves");
     assert_eq!(original, replayed, "restored probe verdict diverged");
     assert_eq!(original.decision, ProbeDecision::Pass, "{original:?}");
+}
+
+#[test]
+fn restore_keeps_every_sample_bit() {
+    use lumen::serve::{CheckpointStore, MemStorage, QueuedClip, StoreConfig};
+
+    // The wire accepts any f64 and `Supervisor::offer` buffers samples
+    // unchecked, so a checkpoint must hand back each sample's exact bits.
+    let special = [
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0x7ff8_0000_0000_0001), // a NaN with a payload
+        -0.0,
+        f64::from_bits(1), // the smallest subnormal
+    ];
+    let detector = trained();
+    let config = ServeConfig {
+        max_sessions: 1,
+        deadline_ticks: 10_000,
+        ..ServeConfig::default()
+    };
+    let mut sup = Supervisor::new(config.clone()).expect("valid config");
+    let id = sup.admit(gated(&detector)).session().expect("admitted");
+    let clip = sup.stream(id).expect("admitted").clip_samples();
+    let samples: Vec<(f64, f64)> = (0..clip + 10)
+        .map(|i| (special[i % 5], special[(i + 2) % 5]))
+        .collect();
+    // No tick: the first clip stays queued, the last 10 samples partial.
+    for &(tx, rx) in &samples {
+        sup.offer(id, tx, rx).expect("offer succeeds");
+    }
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let pair_bits = |pairs: &[(f64, f64)]| {
+        let (tx, rx): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+        (bits(&tx), bits(&rx))
+    };
+    let (queued, partial) = samples.split_at(clip);
+    let expected = (pair_bits(queued), pair_bits(partial));
+    let sample_bits = |snap: &SupervisorSnapshot| {
+        let session = &snap.sessions[0];
+        let queued = match &session.queue[..] {
+            [QueuedClip::Clip { tx, rx, .. }] => (bits(tx), bits(rx)),
+            other => panic!("expected one queued clip, found {other:?}"),
+        };
+        let stream = &session.stream;
+        (queued, (bits(&stream.tx_buffer), bits(&stream.rx_buffer)))
+    };
+    assert_eq!(sample_bits(&sup.snapshot()), expected);
+
+    let mut store =
+        CheckpointStore::new(MemStorage::new(), StoreConfig::default()).expect("default store");
+    store
+        .commit(sup.tick_now(), &sup.snapshot())
+        .expect("commit succeeds");
+    let loaded = store
+        .load_latest()
+        .expect("listing never fails in memory")
+        .loaded
+        .expect("the generation is intact")
+        .snapshot;
+    let restored =
+        Supervisor::restore(config, &loaded, |_| Ok(gated(&detector))).expect("restores");
+    let stream = restored.stream(id).expect("restored").snapshot();
+    assert_eq!(
+        (bits(&stream.tx_buffer), bits(&stream.rx_buffer)),
+        expected.1,
+        "the partial clip changed bits across the restore"
+    );
+    assert_eq!(
+        sample_bits(&restored.snapshot()),
+        expected,
+        "the restored supervisor's next snapshot changed bits"
+    );
 }
