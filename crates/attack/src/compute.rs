@@ -16,14 +16,6 @@ pub struct ComputeModel {
 }
 
 impl ComputeModel {
-    /// Face2Face-class online reenactment: ≈ 27.6 fps (Sec. X-A).
-    pub fn face2face() -> Self {
-        ComputeModel {
-            per_frame_ms: 1000.0 / 27.6,
-            pipeline_depth: 2,
-        }
-    }
-
     /// ICFace-class reenactment at its best reported rate (≈ 47.5 Hz,
     /// Sec. II-A).
     pub fn icface() -> Self {
@@ -70,8 +62,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_match_cited_rates() {
-        assert!((ComputeModel::face2face().achievable_fps() - 27.6).abs() < 0.1);
+    fn preset_matches_cited_rate() {
         assert!((ComputeModel::icface().achievable_fps() - 47.5).abs() < 0.1);
     }
 
@@ -80,7 +71,6 @@ mod tests {
         // Plain reenactment is real-time at typical 24-30 fps chat rates —
         // the reason the attack is dangerous at all.
         assert!(ComputeModel::icface().can_sustain(30.0));
-        assert!(ComputeModel::face2face().can_sustain(24.0));
     }
 
     #[test]

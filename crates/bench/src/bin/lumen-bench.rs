@@ -30,7 +30,7 @@ use lumen_attack::baseline::{
     BaselineDetector, CorrelationThresholdDetector, NaiveTimestampDetector,
 };
 use lumen_bench::{
-    attack_pair, checkpoint_snapshot, knn_backends, memory_store, probe_round, standard_features,
+    attack_pair, checkpoint_snapshot, knn_index, memory_store, probe_round, standard_features,
     standard_frame, standard_landmarks, standard_pair, trained_detector, training_pairs,
 };
 use lumen_core::detector::Detector;
@@ -47,7 +47,7 @@ use lumen_face::detect::detect_landmarks;
 use lumen_face::geometry::FaceGeometry;
 use lumen_face::render::FaceRenderer;
 use lumen_face::roi::roi_luminance;
-use lumen_obs::{InMemorySink, NullSink, Recorder};
+use lumen_obs::{InMemorySink, Recorder};
 use lumen_probe::ChallengeSchedule;
 use lumen_serve::store::crc32;
 use serde::{Deserialize, Serialize};
@@ -179,13 +179,11 @@ fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
     let training = training_pairs();
     let detector = trained_detector();
     let features = standard_features();
-    let nulled = trained_detector().with_recorder(Recorder::new(Arc::new(NullSink)));
     let buffer = Arc::new(InMemorySink::new());
     let buffered = trained_detector().with_recorder(Recorder::new(buffer.clone()));
     let naive = NaiveTimestampDetector::default();
     let fixed = CorrelationThresholdDetector::default();
-    let [(brute20, tree20), (brute200, tree200), (brute2000, tree2000)] =
-        [20, 200, 2000].map(knn_backends);
+    let knn = knn_index();
     let query = [0.9, 0.9, 0.8, 0.1];
     let frame = standard_frame();
     let landmarks = standard_landmarks();
@@ -202,11 +200,11 @@ fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
 
     let cases = vec![
         // Whole-clip detection: the Sec. IX "feature extraction and
-        // classification together" figure, bare and behind each sink.
+        // classification together" figure, bare and behind an in-memory
+        // sink.
         case("detect_uninstrumented", clip, || {
             detector.detect(black_box(&pair))
         }),
-        case("detect_null_sink", clip, || nulled.detect(black_box(&pair))),
         case("detect_in_memory_sink", clip, || {
             let verdict = buffered.detect(black_box(&pair));
             buffer.clear();
@@ -274,7 +272,7 @@ fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
             xcorr::estimate_delay(black_box(&pair.tx), black_box(signal), 1.0)
         }),
         // Classification: LOF scoring and training, voting, the naive
-        // baselines, and the k-NN brute force vs k-d tree crossover.
+        // baselines, and a k-NN query at the detector's 20-vector scale.
         case("lof_score_single_vector", None, || {
             detector.score(black_box(&features))
         }),
@@ -291,22 +289,7 @@ fn micro(metrics: &mut Vec<BenchMetric>) -> Result<(), String> {
             fixed.accepts(black_box(&pair.tx), black_box(&pair.rx))
         }),
         case("knn_brute_force_n20", None, || {
-            brute20.nearest(black_box(&query), 5, None)
-        }),
-        case("knn_kdtree_n20", None, || {
-            tree20.nearest(black_box(&query), 5, None)
-        }),
-        case("knn_brute_force_n200", None, || {
-            brute200.nearest(black_box(&query), 5, None)
-        }),
-        case("knn_kdtree_n200", None, || {
-            tree200.nearest(black_box(&query), 5, None)
-        }),
-        case("knn_brute_force_n2000", None, || {
-            brute2000.nearest(black_box(&query), 5, None)
-        }),
-        case("knn_kdtree_n2000", None, || {
-            tree2000.nearest(black_box(&query), 5, None)
+            knn.nearest(black_box(&query), 5, None)
         }),
         // Frame side: Sec. IX cites landmark detection at 300 fps on a
         // phone.
@@ -414,29 +397,8 @@ fn flag(name: &str, ok: bool) -> BenchMetric {
 fn run_suite(label: &str) -> Result<BenchReport, String> {
     let mut metrics = Vec::new();
 
-    // Micro: every case times one call on fixed inputs. The NullSink
-    // delta is reported as info — at sub-millisecond scale it is mostly
-    // noise.
+    // Micro: every case times one call on fixed inputs.
     micro(&mut metrics)?;
-    let micro_ms = |name: &str| {
-        metrics
-            .iter()
-            .find(|m| m.name == format!("micro.{name}_ms"))
-            .map_or(0.0, |m| m.value)
-    };
-    let (plain_ms, null_ms) = (
-        micro_ms("detect_uninstrumented"),
-        micro_ms("detect_null_sink"),
-    );
-    if plain_ms > 0.0 {
-        metrics.push(metric(
-            "obs.null_sink_overhead_pct",
-            (null_ms - plain_ms) / plain_ms * 100.0,
-            "pct",
-            "info",
-            None,
-        ));
-    }
 
     // Macro: the Sec. IX per-stage breakdown — the overhead experiment's
     // stage spans, over enough detections of the standard legitimate and

@@ -22,7 +22,6 @@ use lumen_face::detect::detect_landmarks;
 use lumen_face::geometry::FaceGeometry;
 use lumen_face::landmarks::LandmarkSet;
 use lumen_face::render::FaceRenderer;
-use lumen_lof::kdtree::KdTree;
 use lumen_lof::knn::KnnIndex;
 use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbeInjector, ProbeVerifier, VerifierConfig};
 use lumen_serve::{
@@ -74,11 +73,10 @@ pub fn standard_landmarks() -> LandmarkSet {
     detect_landmarks(&standard_frame()).expect("face visible")
 }
 
-/// Both k-NN backends over the same `n` deterministic points in the 4-D
-/// feature space, for the crossover: brute force wins at the paper's
-/// 20-instance scale, the k-d tree on large organizational training pools.
-pub fn knn_backends(n: usize) -> (KnnIndex, KdTree) {
-    let points: Vec<Vec<f64>> = (0..n)
+/// A brute-force k-NN index over twenty deterministic points in the 4-D
+/// feature space: the detector's training-set scale (Sec. VII-A).
+pub fn knn_index() -> KnnIndex {
+    let points: Vec<Vec<f64>> = (0..20)
         .map(|i| {
             let t = i as f64;
             vec![
@@ -89,10 +87,7 @@ pub fn knn_backends(n: usize) -> (KnnIndex, KdTree) {
             ]
         })
         .collect();
-    (
-        KnnIndex::new(points.clone()).expect("k-NN index builds"),
-        KdTree::new(points).expect("k-d tree builds"),
-    )
+    KnnIndex::new(points).expect("k-NN index builds")
 }
 
 /// One active-probe round: a challenge, the armed legitimate response to
@@ -200,7 +195,7 @@ mod tests {
         assert_eq!(standard_frame().width(), 160);
         assert!(det.score(&standard_features()).is_ok());
         standard_landmarks();
-        knn_backends(200);
+        assert_eq!(knn_index().len(), 20);
         let probe = probe_round();
         assert!(probe
             .verifier

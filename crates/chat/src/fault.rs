@@ -89,24 +89,6 @@ impl BurstLoss {
         ensure_prob("loss_good", self.loss_good)?;
         ensure_prob("loss_bad", self.loss_bad)
     }
-
-    /// The stationary loss fraction of the chain (long-run expected loss),
-    /// useful for labelling experiment conditions.
-    pub fn stationary_loss(&self) -> f64 {
-        // lint:allow(float-eq): exact zero marks a degenerate chain that
-        // never enters the bad state
-        if self.p_enter == 0.0 {
-            return self.loss_good;
-        }
-        let denom = self.p_enter + self.p_exit;
-        // lint:allow(float-eq): exact zero marks an absorbing bad state
-        if denom == 0.0 {
-            // Absorbing bad state.
-            return self.loss_bad;
-        }
-        let p_bad = self.p_enter / denom;
-        (1.0 - p_bad) * self.loss_good + p_bad * self.loss_bad
-    }
 }
 
 impl Default for BurstLoss {
@@ -284,11 +266,6 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// `true` while a freeze episode is in progress at time `now`.
-    pub fn is_frozen(&self, now: f64) -> bool {
-        now < self.freeze_until
-    }
-
     /// Judges one packet at send time `now`.
     pub fn judge(&mut self, mut packet: FramePacket, now: f64) -> FaultVerdict {
         // Freeze episodes stall the link outright.
@@ -407,18 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_loss_formula() {
-        let b = BurstLoss {
-            p_enter: 0.05,
-            p_exit: 0.2,
-            loss_good: 0.0,
-            loss_bad: 1.0,
-        };
-        assert!((b.stationary_loss() - 0.2).abs() < 1e-12);
-        assert_eq!(BurstLoss::disabled().stationary_loss(), 0.0);
-    }
-
-    #[test]
     fn freeze_stalls_for_duration() {
         let plan = FaultPlan {
             freeze_prob: 1.0,
@@ -433,8 +398,7 @@ mod tests {
             let v = inj.judge(FramePacket::new(i, now, 50.0), now);
             assert_eq!(v, FaultVerdict::Lost(LossCause::Freeze), "tick {i}");
         }
-        assert!(inj.is_frozen(0.4));
-        assert!(!inj.is_frozen(0.6));
+        assert!(0.4 < inj.freeze_until && inj.freeze_until <= 0.6);
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl SampleFeed {
         self.tx.is_empty()
     }
 
-    /// `true` once every sample has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.tx.len()
-    }
-
     /// The feed's clock (ticks consumed so far, session-local time).
     pub fn clock(&self) -> SimClock {
         self.clock
@@ -176,7 +171,7 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, pair.tx.len());
-        assert!(feed.is_exhausted());
+        assert_eq!(feed.remaining(), 0);
         assert_eq!(feed.clock().tick(), n as u64);
     }
 
@@ -208,7 +203,7 @@ mod tests {
         assert_eq!(resumed, full[25..]);
         assert!(feed.rewind_to(feed.len() + 1).is_err());
         feed.rewind_to(feed.len()).unwrap();
-        assert!(feed.is_exhausted());
+        assert_eq!(feed.remaining(), 0);
     }
 
     #[test]

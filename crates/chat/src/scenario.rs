@@ -5,7 +5,6 @@
 //! randomness is derived from the scenario seed, so datasets are exactly
 //! reproducible.
 
-use crate::channel::ChannelConfig;
 use crate::endpoint::{AdaptiveCallee, Caller, LiveFace, ReenactmentCallee, ReplayCallee};
 use crate::fault::FaultPlan;
 use crate::session::{run_session_with, SessionConfig};
@@ -82,19 +81,6 @@ impl ScenarioBuilder {
     /// Streams every generated session's transport counters into `recorder`.
     pub fn with_recorder(mut self, recorder: lumen_obs::Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Sets both network directions to ideal (zero delay/jitter/loss) —
-    /// useful for isolating optics effects in experiments.
-    pub fn with_ideal_network(mut self) -> Self {
-        let ideal = ChannelConfig {
-            base_delay: 0.0,
-            jitter: 0.0,
-            drop_prob: 0.0,
-        };
-        self.session.forward = ideal;
-        self.session.backward = ideal;
         self
     }
 
@@ -307,12 +293,5 @@ mod tests {
                 delay: 0.7
             }
         );
-    }
-
-    #[test]
-    fn ideal_network_removes_delay() {
-        let b = ScenarioBuilder::default().with_ideal_network();
-        let pair = b.legitimate(0, 4).unwrap();
-        assert_eq!(pair.forward_delay, 0.0);
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! The fast path of the library operates on luminance traces directly (the
 //! chat simulator produces them), but the paper's step 5 starts from
-//! *frames*: the transmitted video is compressed to one pixel per frame,
-//! and the received video contributes the mean luminance of the
-//! nasal-bridge interest square located by the landmark detector. This
-//! module implements that frame path, tying `lumen-face` into the
-//! pipeline; an end-to-end consistency test lives in the workspace
-//! integration suite.
+//! *frames*: the transmitted video is compressed to one pixel per frame
+//! ([`Frame::mean_luminance`]), and the received video contributes the
+//! mean luminance of the nasal-bridge interest square located by the
+//! landmark detector. This module implements the received side of that
+//! frame path, tying `lumen-face` into the pipeline; an end-to-end
+//! consistency test lives in the workspace integration suite.
 
 use crate::{CoreError, Result};
 use lumen_dsp::Signal;
@@ -15,21 +15,6 @@ use lumen_face::detect::detect_landmarks;
 use lumen_face::roi::roi_luminance;
 use lumen_face::tracker::LandmarkTracker;
 use lumen_video::frame::Frame;
-
-/// Overall luminance of each transmitted frame ("compress each frame into a
-/// single pixel", Sec. IV).
-///
-/// # Errors
-///
-/// Returns a wrapped [`lumen_dsp::DspError::EmptySignal`] for an empty
-/// frame list or an invalid sample rate.
-pub fn transmitted_luminance(frames: &[Frame], sample_rate: f64) -> Result<Signal> {
-    if frames.is_empty() {
-        return Err(CoreError::from(lumen_dsp::DspError::EmptySignal));
-    }
-    let samples: Vec<f64> = frames.iter().map(Frame::mean_luminance).collect();
-    Ok(Signal::new(samples, sample_rate)?)
-}
 
 /// ROI luminance of each received frame: landmarks are detected per frame,
 /// smoothed by `tracker`, and the interest-square luminance extracted.
@@ -98,19 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn transmitted_luminance_averages_frames() {
-        let frames = vec![
-            Frame::filled(8, 8, Rgb::grey(10)).unwrap(),
-            Frame::filled(8, 8, Rgb::grey(200)).unwrap(),
-        ];
-        let s = transmitted_luminance(&frames, 10.0).unwrap();
-        assert!((s.samples()[0] - 10.0).abs() < 1e-9);
-        assert!((s.samples()[1] - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_frame_list_errors() {
-        assert!(transmitted_luminance(&[], 10.0).is_err());
         let mut tracker = LandmarkTracker::new(0.6);
         assert!(received_roi_luminance(&[], 10.0, &mut tracker).is_err());
     }

@@ -43,11 +43,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Tokens currently available (diagnostic).
-    pub fn available(&self) -> f64 {
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +63,7 @@ mod tests {
         for _ in 0..100 {
             bucket.refill();
         }
-        assert!((bucket.available() - 4.0).abs() < 1e-12, "caps at capacity");
+        assert!((bucket.tokens - 4.0).abs() < 1e-12, "caps at capacity");
     }
 
     #[test]

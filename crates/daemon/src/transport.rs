@@ -135,11 +135,6 @@ impl Conn {
         self.outbound.extend_from_slice(bytes);
     }
 
-    /// Bytes queued but not yet accepted by the kernel.
-    pub fn pending_bytes(&self) -> usize {
-        self.outbound.len()
-    }
-
     /// Pushes queued bytes into the socket; `true` once the queue is
     /// empty. A peer that reads too slowly leaves bytes queued — that is
     /// backpressure, not an error.

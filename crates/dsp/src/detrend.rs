@@ -1,24 +1,11 @@
 //! Trend removal.
 //!
 //! Head posture drifts move the ROI luminance baseline over a clip. The
-//! paper's variance stage is insensitive to slow drift, but the ablation
-//! experiments compare against explicitly detrended variants, and the
-//! spectrum experiment uses mean removal.
+//! paper's variance stage is insensitive to slow drift, but the
+//! preprocessing ablation compares against an explicitly detrended
+//! variant.
 
 use crate::{DspError, Result, Signal};
-
-/// Removes the mean (DC component).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptySignal`] for an empty signal.
-pub fn remove_mean(signal: &Signal) -> Result<Signal> {
-    if signal.is_empty() {
-        return Err(DspError::EmptySignal);
-    }
-    let mean = signal.mean();
-    signal.try_map(|x| x - mean)
-}
 
 /// Removes the least-squares straight line (linear detrend).
 ///
@@ -73,14 +60,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn remove_mean_zeroes_dc() {
-        let s = Signal::new(vec![5.0, 7.0, 9.0], 10.0).unwrap();
-        let out = remove_mean(&s).unwrap();
-        assert!(out.mean().abs() < 1e-12);
-        assert_eq!(out.samples(), &[-2.0, 0.0, 2.0]);
-    }
-
-    #[test]
     fn remove_linear_flattens_ramp_plus_signal() {
         let s = Signal::from_fn(200, 10.0, |t| {
             3.0 * t - 10.0 + (2.0 * std::f64::consts::PI * 0.5 * t).sin()
@@ -104,7 +83,6 @@ mod tests {
     #[test]
     fn empty_errors() {
         let e = Signal::new(vec![], 10.0).unwrap();
-        assert!(remove_mean(&e).is_err());
         assert!(remove_linear(&e).is_err());
     }
 }

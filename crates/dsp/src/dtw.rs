@@ -96,60 +96,6 @@ pub fn dtw_distance_banded(x: &[f64], y: &[f64], band: Option<usize>) -> Result<
     }
 }
 
-/// DTW distance together with the warping path, for diagnostics and the
-/// `fig7`-style pipeline visualizations.
-///
-/// The path is a sequence of `(i, j)` index pairs from `(0, 0)` to
-/// `(len(x) - 1, len(y) - 1)`.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptySignal`] when either input is empty,
-/// [`DspError::TooShort`] when either holds a single sample, and
-/// [`DspError::NonFiniteSample`] for NaN/infinite samples.
-pub fn dtw_with_path(x: &[f64], y: &[f64]) -> Result<(f64, Vec<(usize, usize)>)> {
-    if x.is_empty() || y.is_empty() {
-        return Err(DspError::EmptySignal);
-    }
-    ensure_min_len(x, 2)?;
-    ensure_min_len(y, 2)?;
-    ensure_finite(x)?;
-    ensure_finite(y)?;
-    let n = x.len();
-    let m = y.len();
-    let mut dp = vec![f64::INFINITY; (n + 1) * (m + 1)];
-    let idx = |i: usize, j: usize| i * (m + 1) + j;
-    dp[idx(0, 0)] = 0.0;
-    for i in 1..=n {
-        for j in 1..=m {
-            let cost = (x[i - 1] - y[j - 1]).abs();
-            let best = dp[idx(i - 1, j)]
-                .min(dp[idx(i, j - 1)])
-                .min(dp[idx(i - 1, j - 1)]);
-            dp[idx(i, j)] = cost + best;
-        }
-    }
-    // Backtrack.
-    let mut path = Vec::new();
-    let (mut i, mut j) = (n, m);
-    while i > 0 && j > 0 {
-        path.push((i - 1, j - 1));
-        let diag = dp[idx(i - 1, j - 1)];
-        let up = dp[idx(i - 1, j)];
-        let left = dp[idx(i, j - 1)];
-        if diag <= up && diag <= left {
-            i -= 1;
-            j -= 1;
-        } else if up <= left {
-            i -= 1;
-        } else {
-            j -= 1;
-        }
-    }
-    path.reverse();
-    Ok((dp[idx(n, m)], path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,7 +178,6 @@ mod tests {
     fn empty_inputs_error() {
         assert!(dtw_distance(&[], &[1.0, 2.0]).is_err());
         assert!(dtw_distance(&[1.0, 2.0], &[]).is_err());
-        assert!(dtw_with_path(&[], &[]).is_err());
     }
 
     #[test]
@@ -240,10 +185,6 @@ mod tests {
         assert_eq!(
             dtw_distance(&[1.0], &[1.0, 2.0]),
             Err(DspError::TooShort { len: 1, min: 2 })
-        );
-        assert_eq!(
-            dtw_with_path(&[1.0, 2.0], &[3.0]).unwrap_err(),
-            DspError::TooShort { len: 1, min: 2 }
         );
     }
 
@@ -257,7 +198,6 @@ mod tests {
             dtw_distance(&[1.0, 2.0], &[f64::INFINITY, 2.0]),
             Err(DspError::NonFiniteSample { index: 0 })
         );
-        assert!(dtw_with_path(&[1.0, 2.0], &[f64::NEG_INFINITY, 0.0]).is_err());
     }
 
     #[test]
@@ -306,30 +246,5 @@ mod tests {
         let full = dtw_distance(&x, &y).unwrap();
         let banded = dtw_distance_banded(&x, &y, Some(3)).unwrap();
         assert!(banded >= full - 1e-12);
-    }
-
-    #[test]
-    fn path_endpoints_and_monotonicity() {
-        let x = [0.0, 1.0, 2.0, 1.0];
-        let y = [0.0, 2.0, 1.0];
-        let (d, path) = dtw_with_path(&x, &y).unwrap();
-        assert!(d >= 0.0);
-        assert_eq!(path.first(), Some(&(0, 0)));
-        assert_eq!(path.last(), Some(&(3, 2)));
-        for w in path.windows(2) {
-            let (i0, j0) = w[0];
-            let (i1, j1) = w[1];
-            assert!(i1 >= i0 && j1 >= j0);
-            assert!(i1 - i0 <= 1 && j1 - j0 <= 1);
-        }
-    }
-
-    #[test]
-    fn path_distance_matches_distance() {
-        let x = [0.3, 1.2, 0.7, 2.2, 0.1];
-        let y = [0.0, 1.0, 2.0, 0.0];
-        let d1 = dtw_distance(&x, &y).unwrap();
-        let (d2, _) = dtw_with_path(&x, &y).unwrap();
-        assert!((d1 - d2).abs() < 1e-12);
     }
 }

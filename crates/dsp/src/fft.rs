@@ -7,7 +7,6 @@ use std::ops::{Add, Mul, Sub};
 
 /// A complex number; minimal support for the FFT.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -32,14 +31,6 @@ impl Complex {
     /// Magnitude `|z|`.
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
     }
 }
 
@@ -116,26 +107,8 @@ pub fn fft_in_place(data: &mut [Complex]) -> Result<()> {
     Ok(())
 }
 
-/// Inverse FFT, in place.
-///
-/// # Errors
-///
-/// Same conditions as [`fft_in_place`].
-pub fn ifft_in_place(data: &mut [Complex]) -> Result<()> {
-    for z in data.iter_mut() {
-        *z = z.conj();
-    }
-    fft_in_place(data)?;
-    let n = data.len() as f64;
-    for z in data.iter_mut() {
-        *z = Complex::new(z.re / n, -z.im / n);
-    }
-    Ok(())
-}
-
 /// A one-sided magnitude spectrum.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Spectrum {
     /// Frequency of each bin in Hz.
     pub frequencies: Vec<f64>,
@@ -145,17 +118,6 @@ pub struct Spectrum {
 }
 
 impl Spectrum {
-    /// The frequency with the largest magnitude, ignoring the DC bin.
-    /// Returns `None` when there are fewer than two bins.
-    pub fn dominant_frequency(&self) -> Option<f64> {
-        self.frequencies
-            .iter()
-            .zip(&self.magnitudes)
-            .skip(1)
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(f, _)| *f)
-    }
-
     /// Total spectral energy (sum of squared magnitudes) within
     /// `[lo_hz, hi_hz]`.
     pub fn band_energy(&self, lo_hz: f64, hi_hz: f64) -> f64 {
@@ -248,25 +210,18 @@ mod tests {
     }
 
     #[test]
-    fn ifft_inverts_fft() {
-        let original: Vec<Complex> = (0..16)
-            .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        let mut data = original.clone();
-        fft_in_place(&mut data).unwrap();
-        ifft_in_place(&mut data).unwrap();
-        for (a, b) in data.iter().zip(&original) {
-            assert!((a.re - b.re).abs() < 1e-9);
-            assert!((a.im - b.im).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn spectrum_locates_a_tone() {
         // 0.5 Hz tone at 10 Hz sampling.
         let s = Signal::from_fn(512, 10.0, |t| 80.0 + 10.0 * (2.0 * PI * 0.5 * t).sin()).unwrap();
         let spec = magnitude_spectrum(&s).unwrap();
-        let dom = spec.dominant_frequency().unwrap();
+        // The strongest bin, ignoring DC.
+        let (dom, _) = spec
+            .frequencies
+            .iter()
+            .zip(&spec.magnitudes)
+            .skip(1)
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .unwrap();
         assert!((dom - 0.5).abs() < 0.05, "dominant {dom}");
     }
 

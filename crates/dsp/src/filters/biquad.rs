@@ -93,6 +93,8 @@ impl Biquad {
 /// # Ok(())
 /// # }
 /// ```
+// lint:allow(dead-pub): lumen-bench's `micro.iir_filtfilt_lowpass_1hz_ms`
+// row times it against the paper's FIR low-pass
 pub fn filtfilt_lowpass(signal: &Signal, cutoff_hz: f64) -> Result<Signal> {
     if signal.is_empty() {
         return Err(DspError::EmptySignal);

@@ -165,22 +165,6 @@ pub fn lowpass(signal: &Signal, cutoff_hz: f64) -> Result<Signal> {
     Signal::new(filtered, signal.sample_rate())
 }
 
-/// Low-pass with an explicit kernel length, for callers that need to trade
-/// sharpness against latency.
-///
-/// # Errors
-///
-/// Same conditions as [`design_lowpass`] and [`lowpass`].
-pub fn lowpass_with_taps(signal: &Signal, cutoff_hz: f64, taps: usize) -> Result<Signal> {
-    if signal.is_empty() {
-        return Err(DspError::EmptySignal);
-    }
-    crate::guard::ensure_min_len(signal.samples(), 2)?;
-    let kernel = design_lowpass(taps, cutoff_hz, signal.sample_rate(), WindowKind::Hann)?;
-    let filtered = convolve_same(signal.samples(), &kernel)?;
-    Signal::new(filtered, signal.sample_rate())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,25 +31,6 @@ pub fn threshold_filter(signal: &Signal, cutoff: f64) -> Result<Signal> {
     signal.try_map(|x| if x < cutoff { 0.0 } else { x })
 }
 
-/// Zeroes every sample whose absolute value is strictly below `cutoff`.
-///
-/// Useful for signed residual signals; the paper's variance signal is
-/// non-negative so [`threshold_filter`] suffices there.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] when `cutoff` is not finite or is
-/// negative.
-pub fn threshold_filter_abs(signal: &Signal, cutoff: f64) -> Result<Signal> {
-    if !cutoff.is_finite() || cutoff < 0.0 {
-        return Err(DspError::invalid_parameter(
-            "cutoff",
-            "must be finite and non-negative",
-        ));
-    }
-    signal.try_map(|x| if x.abs() < cutoff { 0.0 } else { x })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,14 +47,6 @@ mod tests {
         let s = Signal::new(vec![-5.0, 0.0, 5.0], 10.0).unwrap();
         let out = threshold_filter(&s, -10.0).unwrap();
         assert_eq!(out.samples(), s.samples());
-    }
-
-    #[test]
-    fn abs_variant_is_symmetric() {
-        let s = Signal::new(vec![-3.0, -1.0, 1.0, 3.0], 10.0).unwrap();
-        let out = threshold_filter_abs(&s, 2.0).unwrap();
-        assert_eq!(out.samples(), &[-3.0, 0.0, 0.0, 3.0]);
-        assert!(threshold_filter_abs(&s, -1.0).is_err());
     }
 
     #[test]

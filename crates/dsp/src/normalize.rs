@@ -40,27 +40,6 @@ pub fn normalize_min_max(signal: &Signal) -> Result<Signal> {
     signal.try_map(|x| (x - min) / range)
 }
 
-/// Standardizes the signal to zero mean and unit (population) variance.
-///
-/// A constant signal maps to all zeros.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptySignal`] for an empty signal.
-pub fn normalize_zscore(signal: &Signal) -> Result<Signal> {
-    if signal.is_empty() {
-        return Err(DspError::EmptySignal);
-    }
-    let mean = signal.mean();
-    let std = crate::stats::stddev_population(signal.samples());
-    // lint:allow(float-eq): exact zero marks a constant signal; any other
-    // deviation is a valid divisor
-    if std == 0.0 {
-        return signal.try_map(|_| 0.0);
-    }
-    signal.try_map(|x| (x - mean) / std)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,24 +60,8 @@ mod tests {
     }
 
     #[test]
-    fn zscore_moments() {
-        let s = Signal::new(vec![1.0, 2.0, 3.0, 4.0, 5.0], 10.0).unwrap();
-        let n = normalize_zscore(&s).unwrap();
-        assert!(n.mean().abs() < 1e-12);
-        assert!((crate::stats::stddev_population(n.samples()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zscore_flat_is_zero() {
-        let s = Signal::new(vec![7.0; 3], 10.0).unwrap();
-        let n = normalize_zscore(&s).unwrap();
-        assert!(n.samples().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn empty_errors() {
         let s = Signal::new(vec![], 10.0).unwrap();
         assert!(normalize_min_max(&s).is_err());
-        assert!(normalize_zscore(&s).is_err());
     }
 }

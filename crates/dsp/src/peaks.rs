@@ -11,7 +11,6 @@ use crate::Signal;
 
 /// A detected peak.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Peak {
     /// Sample index of the peak (middle of a plateau).
     pub index: usize,
@@ -23,7 +22,6 @@ pub struct Peak {
 
 /// Selection criteria for [`find_peaks`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeakConfig {
     /// Minimum absolute height; `None` disables the check.
     pub min_height: Option<f64>,

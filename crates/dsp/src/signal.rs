@@ -20,7 +20,6 @@ use crate::{DspError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Signal {
     samples: Vec<f64>,
     sample_rate: f64,
@@ -98,11 +97,6 @@ impl Signal {
         &self.samples
     }
 
-    /// Consumes the signal and returns the raw samples.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.samples
-    }
-
     /// The sample at `index`, or `None` when out of range.
     pub fn get(&self, index: usize) -> Option<f64> {
         self.samples.get(index).copied()
@@ -111,23 +105,6 @@ impl Signal {
     /// Time (seconds) of the sample at `index`.
     pub fn time_at(&self, index: usize) -> f64 {
         index as f64 / self.sample_rate
-    }
-
-    /// Index of the sample closest to time `t` (seconds), clamped to range.
-    ///
-    /// Returns `None` for an empty signal.
-    pub fn index_at(&self, t: f64) -> Option<usize> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let idx = (t * self.sample_rate).round();
-        let idx = idx.clamp(0.0, (self.samples.len() - 1) as f64);
-        Some(idx as usize)
-    }
-
-    /// The time axis, one entry per sample.
-    pub fn time_axis(&self) -> Vec<f64> {
-        (0..self.samples.len()).map(|i| self.time_at(i)).collect()
     }
 
     /// Applies `f` to every sample, producing a new signal at the same rate.
@@ -285,22 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn duration_and_time_axis() {
+    fn duration_and_time_at() {
         let s = ramp(20);
         assert!((s.duration() - 2.0).abs() < 1e-12);
-        let axis = s.time_axis();
-        assert_eq!(axis.len(), 20);
-        assert!((axis[10] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn index_at_clamps() {
-        let s = ramp(10);
-        assert_eq!(s.index_at(-5.0), Some(0));
-        assert_eq!(s.index_at(0.4), Some(4));
-        assert_eq!(s.index_at(100.0), Some(9));
-        let empty = Signal::new(vec![], 10.0).unwrap();
-        assert_eq!(empty.index_at(1.0), None);
+        assert!((s.time_at(10) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub fn stddev_population(data: &[f64]) -> f64 {
     variance_population(data).sqrt()
 }
 
-/// Sample standard deviation.
-pub fn stddev_sample(data: &[f64]) -> f64 {
-    variance_sample(data).sqrt()
-}
-
 /// Root mean square of the samples; `0.0` for an empty slice.
 pub fn rms(data: &[f64]) -> f64 {
     if data.is_empty() {

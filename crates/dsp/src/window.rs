@@ -5,7 +5,6 @@ use std::f64::consts::PI;
 /// The window functions supported by the FIR designer and the spectrum
 /// estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WindowKind {
     /// All-ones window (no tapering).
     Rectangular,

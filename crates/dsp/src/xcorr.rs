@@ -78,8 +78,7 @@ pub fn best_lag(x: &[f64], y: &[f64], max_lag: usize) -> Result<(isize, f64)> {
 /// # Errors
 ///
 /// Returns [`DspError::EmptySignal`] for empty inputs and
-/// [`DspError::LengthMismatch`] when sample rates differ (compare signals on
-/// a common rate first — see [`crate::resample`]).
+/// [`DspError::LengthMismatch`] when sample rates differ.
 ///
 /// # Example
 ///

@@ -4,9 +4,7 @@
 use crate::ExpResult;
 use lumen_chat::scenario::ScenarioBuilder;
 use lumen_core::dataset;
-use lumen_core::detector::Detector;
 use lumen_core::features::FeatureVector;
-use lumen_core::metrics::Confusion;
 use lumen_core::Config;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -81,27 +79,6 @@ pub fn user_features(
     let legit = dataset::legitimate_features(builder, user, clips, legit_base, config)?;
     let attack = dataset::attack_features(builder, user, clips, attack_base, config)?;
     Ok((legit, attack))
-}
-
-/// Evaluates a trained detector on pre-extracted features, filling a
-/// confusion matrix.
-///
-/// # Errors
-///
-/// Propagates LOF scoring errors.
-pub fn evaluate(
-    detector: &Detector,
-    legit: &[FeatureVector],
-    attack: &[FeatureVector],
-) -> ExpResult<Confusion> {
-    let mut c = Confusion::new();
-    for f in legit {
-        c.record(true, detector.judge(f)?.accepted);
-    }
-    for f in attack {
-        c.record(false, detector.judge(f)?.accepted);
-    }
-    Ok(c)
 }
 
 /// Formats a fraction as a percentage with one decimal.

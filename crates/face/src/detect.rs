@@ -178,6 +178,40 @@ mod tests {
         assert!(dark.lower_bridge().distance(&bright.lower_bridge()) < 3.0);
     }
 
+    /// The robustness bar behind "the ROI can be robustly located"
+    /// (Sec. II-E): detection rate and RMS landmark error over a 5 × 3
+    /// grid of head offsets at three illumination levels. Poses whose
+    /// face leaves the frame are skipped.
+    #[test]
+    fn detector_clears_the_robustness_bar() {
+        let renderer = FaceRenderer::default();
+        let base = FaceGeometry::centered(renderer.width, renderer.height);
+        let mut attempted = 0usize;
+        let mut errors = Vec::new();
+        for dx in [-12.0, -6.0, 0.0, 6.0, 12.0] {
+            for dy in [-5.0, 0.0, 5.0] {
+                let geom = base.moved(dx, dy);
+                if !geom.fits(renderer.width, renderer.height) {
+                    continue;
+                }
+                for level in [100.0, 130.0, 160.0] {
+                    attempted += 1;
+                    let frame = renderer.render(&geom, level).unwrap();
+                    if let Some(found) = detect_landmarks(&frame) {
+                        errors.push(found.rms_error(&geom.landmarks()));
+                    }
+                }
+            }
+        }
+        let detection_rate = errors.len() as f64 / attempted as f64;
+        let mean_rms_error = errors.iter().sum::<f64>() / errors.len() as f64;
+        let max_rms_error = errors.iter().fold(0.0f64, |m, &e| m.max(e));
+        assert!(attempted >= 40, "grid too small: {attempted}");
+        assert!(detection_rate > 0.97, "detection rate {detection_rate}");
+        assert!(mean_rms_error < 6.0, "mean rms {mean_rms_error}");
+        assert!(max_rms_error < 12.0, "max rms {max_rms_error}");
+    }
+
     #[test]
     fn rejects_blank_frame() {
         let frame = Frame::filled(160, 120, Rgb::grey(40)).unwrap();

@@ -14,8 +14,8 @@
 //!   nine landmarks;
 //! * [`roi`] — the interest-square construction and ROI luminance
 //!   extraction;
-//! * [`tracker`] — temporal landmark smoothing with an injectable jitter
-//!   model (Sec. V discusses localization jitter as a noise source).
+//! * [`tracker`] — temporal landmark smoothing (Sec. V discusses
+//!   localization jitter as a noise source).
 //!
 //! # Example
 //!
@@ -42,7 +42,6 @@
 pub mod detect;
 pub mod geometry;
 pub mod landmarks;
-pub mod metrics;
 pub mod render;
 pub mod roi;
 pub mod sequence;

@@ -2,20 +2,14 @@
 //!
 //! Sec. V of the paper names "inaccurate face localization" as a noise
 //! source that jitters the interest area. The tracker smooths detections
-//! with an exponential moving average and can *inject* controlled jitter so
-//! experiments can sweep localization quality.
+//! with an exponential moving average.
 
 use crate::landmarks::{Landmark, LandmarkSet};
-use lumen_video::noise::{gaussian, seeded_rng};
-use rand_chacha::ChaCha8Rng;
 
-/// An exponential-moving-average landmark tracker with optional synthetic
-/// jitter injection.
+/// An exponential-moving-average landmark tracker.
 #[derive(Debug, Clone)]
 pub struct LandmarkTracker {
     alpha: f64,
-    jitter_sigma: f64,
-    rng: ChaCha8Rng,
     state: Option<LandmarkSet>,
 }
 
@@ -26,18 +20,8 @@ impl LandmarkTracker {
     pub fn new(alpha: f64) -> Self {
         LandmarkTracker {
             alpha: alpha.clamp(0.05, 1.0),
-            jitter_sigma: 0.0,
-            rng: seeded_rng(0),
             state: None,
         }
-    }
-
-    /// Enables Gaussian jitter of `sigma` pixels on every tracked landmark,
-    /// seeded deterministically.
-    pub fn with_jitter(mut self, sigma: f64, seed: u64) -> Self {
-        self.jitter_sigma = sigma.abs();
-        self.rng = seeded_rng(seed);
-        self
     }
 
     /// The current smoothed landmark estimate, if any detection has been
@@ -49,12 +33,7 @@ impl LandmarkTracker {
     /// Feeds one detection (or `None` on detection failure) and returns the
     /// updated estimate. On failure the tracker coasts on its last state.
     pub fn update(&mut self, detection: Option<LandmarkSet>) -> Option<LandmarkSet> {
-        if let Some(mut det) = detection {
-            if self.jitter_sigma > 0.0 {
-                let dx = self.jitter_sigma * gaussian(&mut self.rng);
-                let dy = self.jitter_sigma * gaussian(&mut self.rng);
-                det = det.translated(dx, dy);
-            }
+        if let Some(det) = detection {
             let next = match &self.state {
                 None => det,
                 Some(prev) => blend(prev, &det, self.alpha),
@@ -62,11 +41,6 @@ impl LandmarkTracker {
             self.state = Some(next);
         }
         self.state
-    }
-
-    /// Forgets the tracked state (e.g. after the face leaves the frame).
-    pub fn reset(&mut self) {
-        self.state = None;
     }
 }
 
@@ -124,27 +98,5 @@ mod tests {
         t.update(Some(landmarks_at(3.0)));
         let held = t.update(None).unwrap();
         assert_eq!(held, landmarks_at(3.0));
-    }
-
-    #[test]
-    fn jitter_perturbs_deterministically() {
-        let mut a = LandmarkTracker::new(1.0).with_jitter(2.0, 9);
-        let mut b = LandmarkTracker::new(1.0).with_jitter(2.0, 9);
-        let la = a.update(Some(landmarks_at(0.0))).unwrap();
-        let lb = b.update(Some(landmarks_at(0.0))).unwrap();
-        assert_eq!(la, lb);
-        assert_ne!(la, landmarks_at(0.0));
-        let mut c = LandmarkTracker::new(1.0).with_jitter(2.0, 10);
-        let lc = c.update(Some(landmarks_at(0.0))).unwrap();
-        assert_ne!(la, lc);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut t = LandmarkTracker::new(0.5);
-        t.update(Some(landmarks_at(0.0)));
-        t.reset();
-        assert!(t.current().is_none());
-        assert!(t.update(None).is_none());
     }
 }

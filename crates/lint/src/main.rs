@@ -4,7 +4,6 @@
 //! cargo run -p lumen-lint -- --check                    # CI mode: exit 1 on findings
 //! cargo run -p lumen-lint -- --format json              # machine-readable report
 //! cargo run -p lumen-lint -- --format sarif             # SARIF 2.1.0 for code hosts
-//! cargo run -p lumen-lint -- --changed-since origin/main  # diff-aware PR mode
 //! cargo run -p lumen-lint -- --emit-substreams SUBSTREAMS.md  # allocation table
 //! cargo run -p lumen-lint -- --root path/to/tree        # lint another tree
 //! ```
@@ -12,16 +11,11 @@
 //! Without `--check` the linter prints its report and exits 0 so the full
 //! JSON can be captured even on a dirty tree; with `--check` any finding
 //! makes the process exit 1. Usage or I/O errors exit 2.
-//!
-//! `--changed-since <rev>` still analyses the *whole* workspace (the
-//! interprocedural rules need every file to resolve symbols), then
-//! reports only findings anchored in files `git diff` says changed since
-//! `<rev>` — plus `lint.toml` findings when the config itself changed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lumen_lint::{lint_workspace, Config};
@@ -37,12 +31,11 @@ struct Options {
     format: Format,
     root: Option<PathBuf>,
     config: Option<PathBuf>,
-    changed_since: Option<String>,
     emit_substreams: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: lumen-lint [--check] [--format text|json|sarif] [--root DIR] \
-                     [--config FILE] [--changed-since REV] [--emit-substreams FILE]";
+                     [--config FILE] [--emit-substreams FILE]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
@@ -50,7 +43,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         format: Format::Text,
         root: None,
         config: None,
-        changed_since: None,
         emit_substreams: None,
     };
     let mut it = args.iter();
@@ -75,10 +67,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--config" => match it.next() {
                 Some(file) => opts.config = Some(PathBuf::from(file)),
                 None => return Err("--config expects a file".to_string()),
-            },
-            "--changed-since" => match it.next() {
-                Some(rev) => opts.changed_since = Some(rev.clone()),
-                None => return Err("--changed-since expects a git revision".to_string()),
             },
             "--emit-substreams" => match it.next() {
                 Some(file) => opts.emit_substreams = Some(PathBuf::from(file)),
@@ -106,37 +94,6 @@ fn discover_root() -> PathBuf {
     }
 }
 
-/// Files changed since `rev`: tracked changes (`git diff --name-only`)
-/// plus untracked files (`git ls-files --others`), workspace-relative.
-fn changed_files(root: &Path, rev: &str) -> Result<Vec<String>, String> {
-    let run = |args: &[&str]| -> Result<String, String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .map_err(|e| format!("cannot run git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let mut files: Vec<String> = Vec::new();
-    for listing in [
-        run(&["diff", "--name-only", rev])?,
-        run(&["ls-files", "--others", "--exclude-standard"])?,
-    ] {
-        files.extend(listing.lines().map(str::to_string));
-    }
-    files.sort();
-    files.dedup();
-    Ok(files)
-}
-
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args)?;
@@ -152,14 +109,8 @@ fn run() -> Result<bool, String> {
     } else {
         Config::default()
     };
-    let mut report = lint_workspace(&root, &config)
+    let report = lint_workspace(&root, &config)
         .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
-    if let Some(rev) = &opts.changed_since {
-        let changed = changed_files(&root, rev)?;
-        report
-            .findings
-            .retain(|f| changed.iter().any(|c| c == &f.path));
-    }
     if let Some(out_path) = &opts.emit_substreams {
         std::fs::write(out_path, &report.substreams_md)
             .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;

@@ -8,7 +8,8 @@
 //! into a small item tree:
 //!
 //! * functions — name, enclosing `impl` type, inline-module path, whether
-//!   the signature returns a `Result`, and the token range of the body;
+//!   the item is plain `pub`, whether the signature returns a `Result`,
+//!   and the token range of the body;
 //! * `const` items with integer values (so `substream(seed, LABEL)` can be
 //!   resolved through a named constant);
 //! * `use` declarations (leaf-name → full path, for the audit table);
@@ -33,6 +34,8 @@ pub struct FnItem {
     pub module: Vec<String>,
     /// Whether the return type mentions `Result`.
     pub returns_result: bool,
+    /// Whether the item is plain `pub` (not `pub(crate)` or private).
+    pub is_pub: bool,
     /// Whether a `// lint:hot-path` comment annotates this function.
     pub is_hot: bool,
     /// 1-based line of the function name.
@@ -192,6 +195,7 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                     self_ty: self_ty.flatten(),
                     module,
                     returns_result,
+                    is_pub: is_plain_pub(toks, i),
                     is_hot: false,
                     line: name_tok.line,
                     col: name_tok.col,
@@ -238,6 +242,23 @@ fn item_start_line(toks: &[Token], i: usize) -> u32 {
         start = j;
     }
     toks.get(start).map(|t| t.line).unwrap_or(1)
+}
+
+/// Whether the `fn` keyword at `i` is declared plain `pub`: walks back
+/// over the `const`/`async`/`unsafe`/`extern "abi"` qualifiers to the
+/// visibility. `pub(crate)` and friends end in `)`, so they are not.
+fn is_plain_pub(toks: &[Token], i: usize) -> bool {
+    let mut j = i;
+    while let Some(prev) = j.checked_sub(1).and_then(|p| toks.get(p)) {
+        let qualifier = prev.kind == TokenKind::Str
+            || (prev.kind == TokenKind::Ident
+                && matches!(prev.text.as_str(), "const" | "async" | "unsafe" | "extern"));
+        if !qualifier {
+            return prev.kind == TokenKind::Ident && prev.text == "pub";
+        }
+        j -= 1;
+    }
+    false
 }
 
 /// Parses an `impl` header starting after the `impl` keyword. Returns the
@@ -497,6 +518,15 @@ mod tests {
         assert!(!p.fns[0].returns_result);
         assert_eq!(p.fns[1].display(), "Detector::detect");
         assert!(p.fns[1].returns_result);
+    }
+
+    #[test]
+    fn plain_pub_is_told_from_restricted_and_private() {
+        let src = "pub fn a() {}\npub(crate) fn b() {}\nfn c() {}\npub const fn d() {}\n\
+                   pub unsafe extern \"C\" fn e() {}\npub(super) async fn f() {}\n";
+        let p = parsed(src);
+        let public: Vec<bool> = p.fns.iter().map(|f| f.is_pub).collect();
+        assert_eq!(public, [true, false, false, true, true, false]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! live here and in `lint.toml`; line-level escape hatches are
 //! `// lint:allow(rule): justification` comments handled by the engine.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::callgraph::{resolve_site, CallSite, Qualifier};
 use crate::diagnostics::Diagnostic;
@@ -33,6 +33,9 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 /// Rule id for `lint.toml` `allow_paths` entries that match no findings
 /// (engine-emitted).
 pub const UNUSED_PATH_ALLOW: &str = "unused-path-allow";
+/// Rule id for `pub fn`s that nothing outside their own file's tests
+/// and the bench crate names.
+pub const DEAD_PUB: &str = "dead-pub";
 /// Rule id for workspace-wide seeded-substream label collisions.
 pub const SEED_SUBSTREAM: &str = "seed-substream";
 /// Rule id for wall-clock/fs/panic sites reachable from a hot path.
@@ -439,6 +442,12 @@ pub struct WsRule {
 
 /// All workspace rules, in diagnostic-id order.
 pub const WORKSPACE: &[WsRule] = &[
+    WsRule {
+        id: DEAD_PUB,
+        description:
+            "every `pub fn` is named outside its own definition, its file's tests and crates/bench",
+        check: dead_pub,
+    },
     WsRule {
         id: ERROR_SWALLOWING,
         description: "verdict-path functions may not discard Results (`let _ =`, dangling `.ok()`)",
@@ -1036,6 +1045,74 @@ fn span_early_exit(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
                     break;
                 }
             }
+        }
+    }
+}
+
+/// `dead-pub`: a plain-`pub fn` (free or inherent) in a library file
+/// that nothing runs is code to maintain for no caller. It is a finding
+/// when its name occurs as an identifier nowhere but in its own
+/// definition, in its own file's `#[cfg(test)]` code and in
+/// `crates/bench`; any other analysed file (code, bins, tests, examples,
+/// `lumenbench/`) counts as a use. The match is by name, so a dead fn
+/// that shares its name with a live one goes unflagged. Trait-impl
+/// methods, private and `pub(crate)` fns are never checked: rustc's
+/// `dead_code` covers the last two.
+fn dead_pub(ws: &WsCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let is_bench = |a: &FileAnalysis| a.rel_path.starts_with("crates/bench/");
+    let candidates: Vec<(usize, &FnItem)> = ws
+        .files
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| {
+            a.meta.kind == FileKind::Library
+                && !is_bench(a)
+                && !a.rel_path.starts_with("lumenbench/")
+        })
+        .flat_map(|(i, a)| {
+            a.parsed
+                .fns
+                .iter()
+                .filter(move |f| f.is_pub && !a.in_cfg_test(f.line))
+                .map(move |f| (i, f))
+        })
+        .collect();
+    let names: HashSet<&str> = candidates.iter().map(|(_, f)| f.name.as_str()).collect();
+    // Every occurrence that can count as a use: (file, token index).
+    let mut uses: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (i, a) in ws.files.iter().enumerate().filter(|(_, a)| !is_bench(a)) {
+        for (t, tok) in a.lexed.tokens.iter().enumerate() {
+            if tok.kind == TokenKind::Ident {
+                if let Some(name) = names.get(tok.text.as_str()) {
+                    uses.entry(name).or_default().push((i, t));
+                }
+            }
+        }
+    }
+    for (i, f) in candidates {
+        let a = &ws.files[i];
+        let in_own_def = |t: usize| {
+            let tok = &a.lexed.tokens[t];
+            (tok.line, tok.col) == (f.line, f.col)
+                || f.body.is_some_and(|(s, e)| (s..=e).contains(&t))
+        };
+        let used = uses.get(f.name.as_str()).is_some_and(|sites| {
+            sites.iter().any(|&(file, t)| {
+                file != i || !(in_own_def(t) || a.in_cfg_test(a.lexed.tokens[t].line))
+            })
+        });
+        if !used {
+            out.push(a.diag_at(
+                DEAD_PUB,
+                f.line,
+                f.col,
+                format!(
+                    "pub fn `{}` is named nowhere outside its own definition, its file's \
+                     #[cfg(test)] code and crates/bench",
+                    f.display()
+                ),
+                "delete it with its unit tests, or add `// lint:allow(dead-pub): <who needs it>`",
+            ));
         }
     }
 }

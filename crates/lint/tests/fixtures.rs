@@ -61,6 +61,7 @@ const RULES: &[&str] = &[
 /// Interprocedural rules: fixtures run through `lint_files`, so the
 /// symbol table and call graph are live even for a one-file workspace.
 const WS_RULES: &[&str] = &[
+    "dead-pub",
     "error-swallowing",
     "hot-path-purity",
     "seed-substream",

@@ -22,3 +22,8 @@ pub fn tick() {
 fn settle() {
     push(1).ok();
 }
+
+/// The session loop that drives the verdict path.
+fn run() {
+    tick();
+}

@@ -20,3 +20,8 @@ pub fn tick(counters: &mut Counters) -> Result<(), Error> {
     }
     Ok(())
 }
+
+/// The session loop that drives the verdict path.
+fn run(counters: &mut Counters) -> Result<(), Error> {
+    tick(counters)
+}

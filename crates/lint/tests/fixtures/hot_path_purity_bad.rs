@@ -14,3 +14,8 @@ fn refine(x: f64) -> f64 {
     // lint:allow(no-panic): fixture exercises the interprocedural rule
     scale(x).expect("scale is total")
 }
+
+/// The clip loop that calls the entry point.
+fn run(x: f64) -> f64 {
+    detect(x)
+}

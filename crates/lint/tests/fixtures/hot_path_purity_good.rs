@@ -11,3 +11,8 @@ pub fn detect(x: f64) -> f64 {
 fn refine(x: f64) -> f64 {
     x * 2.0
 }
+
+/// The clip loop that calls the entry point.
+fn run(x: f64) -> f64 {
+    detect(x)
+}

@@ -16,3 +16,8 @@ pub mod challenge {
         substream(seed, 7)
     }
 }
+
+/// Derives both streams of one session.
+fn session_streams(seed: u64) -> (Rng, Rng) {
+    (synth::noise_rng(seed), challenge::challenge_rng(seed))
+}

@@ -7,3 +7,8 @@ pub fn measure(rec: &Recorder, x: u64) -> Result<u64, Error> {
     let v = validate(x)?;
     Ok(v * 2)
 }
+
+/// The pipeline that runs the stage.
+fn run(rec: &Recorder) -> Result<u64, Error> {
+    measure(rec, 1)
+}

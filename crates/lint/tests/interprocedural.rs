@@ -2,7 +2,9 @@
 //! across files — a seed label resolved through a constant defined in a
 //! *different* crate, an impurity one call down from a hot entry — are
 //! invisible to the old per-file token engine (`lint_source`) and must
-//! be caught by the symbol-resolved full check (`lint_files`).
+//! be caught by the symbol-resolved full check (`lint_files`). The
+//! `dead-pub` tests build mini-workspaces the same way: whether a
+//! `pub fn` is dead depends on every other file.
 
 use lumen_lint::{classify, lint_files, lint_source, Config, Diagnostic, SourceFile};
 
@@ -147,4 +149,139 @@ fn substream_table_renders_the_allocation() {
     );
     assert!(report.substreams_md.contains("noise_rng"));
     assert!(report.substreams_md.contains("challenge_rng"));
+}
+
+/// A library file with one `pub fn` and a unit test that calls it.
+const STATS: &str = "//! Stats.\n\
+                     /// Mean of the samples.\n\
+                     pub fn mean(x: &[f64]) -> f64 {\n\
+                     \x20   x.iter().sum::<f64>() / x.len() as f64\n\
+                     }\n\
+                     #[cfg(test)]\n\
+                     mod tests {\n\
+                     \x20   #[test]\n\
+                     \x20   fn mean_of_two() {\n\
+                     \x20       assert!((super::mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);\n\
+                     \x20   }\n\
+                     }\n";
+
+fn file(rel_path: &str, source: &str) -> SourceFile {
+    SourceFile {
+        rel_path: rel_path.to_string(),
+        source: source.to_string(),
+    }
+}
+
+/// `crates/dsp/src/stats.rs` holding [`STATS`] beside one caller file.
+fn stats_with_caller(rel_path: &str, caller: &str) -> Vec<Diagnostic> {
+    let files = vec![
+        file("crates/dsp/src/stats.rs", STATS),
+        file(rel_path, caller),
+    ];
+    lint_files(files, &Config::default()).findings
+}
+
+#[test]
+fn dead_pub_flags_a_fn_only_its_own_tests_name() {
+    let findings = lint_files(
+        vec![file("crates/dsp/src/stats.rs", STATS)],
+        &Config::default(),
+    )
+    .findings;
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "dead-pub");
+    assert_eq!((f.path.as_str(), f.line), ("crates/dsp/src/stats.rs", 3));
+    assert!(f.message.contains("`mean`"), "{f:?}");
+}
+
+#[test]
+fn dead_pub_does_not_count_the_bench_crate_as_a_caller() {
+    let bench = "//! Timing harness.\n\
+                 fn main() {\n\
+                 \x20   println!(\"{}\", lumen_dsp::stats::mean(&[1.0, 2.0]));\n\
+                 }\n";
+    let findings = stats_with_caller("crates/bench/src/bin/lumen-bench.rs", bench);
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["dead-pub"], "{findings:?}");
+    assert_eq!(findings[0].path, "crates/dsp/src/stats.rs");
+}
+
+#[test]
+fn dead_pub_counts_code_tests_examples_and_lumenbench_as_callers() {
+    let caller = "//! A caller.\n\
+                  fn average(x: &[f64]) -> f64 {\n\
+                  \x20   lumen_dsp::stats::mean(x)\n\
+                  }\n";
+    for path in [
+        "crates/core/src/features.rs",
+        "tests/stats.rs",
+        "examples/stats.rs",
+        "crates/dsp/tests/properties.rs",
+        "lumenbench/src/report.rs",
+    ] {
+        let findings = stats_with_caller(path, caller);
+        assert!(findings.is_empty(), "a call from {path}: {findings:?}");
+    }
+}
+
+#[test]
+fn dead_pub_never_checks_trait_impls_private_and_crate_fns() {
+    let filters = "//! Filters.\n\
+                   /// A filter.\n\
+                   pub trait Filter {\n\
+                   \x20   /// Applies it.\n\
+                   \x20   fn apply(&self, x: f64) -> f64;\n\
+                   }\n\
+                   /// The identity filter.\n\
+                   pub struct Identity;\n\
+                   impl Filter for Identity {\n\
+                   \x20   fn apply(&self, x: f64) -> f64 {\n\
+                   \x20       x\n\
+                   \x20   }\n\
+                   }\n\
+                   fn private_helper() {}\n\
+                   pub(crate) fn crate_helper() {}\n";
+    // Definitions in the bench crate and in lumenbench are skipped too.
+    let unused = "//! Fixtures.\n/// Unused.\npub fn unused() {}\n";
+    let files = vec![
+        file("crates/dsp/src/filters.rs", filters),
+        file("crates/bench/src/fixtures.rs", unused),
+        file("lumenbench/src/plan.rs", unused),
+    ];
+    let findings = lint_files(files, &Config::default()).findings;
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn dead_pub_allow_comments_need_a_reason_and_a_finding() {
+    let allowed =
+        |comment: &str| STATS.replacen("pub fn mean", &format!("{comment}\npub fn mean"), 1);
+    let justified = allowed("// lint:allow(dead-pub): the bench times it");
+    let findings = lint_files(
+        vec![file("crates/dsp/src/stats.rs", &justified)],
+        &Config::default(),
+    )
+    .findings;
+    assert!(findings.is_empty(), "{findings:?}");
+
+    let bare = allowed("// lint:allow(dead-pub)");
+    let findings = lint_files(
+        vec![file("crates/dsp/src/stats.rs", &bare)],
+        &Config::default(),
+    )
+    .findings;
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["invalid-allow"], "{findings:?}");
+
+    // With a caller there is nothing left to silence.
+    let caller =
+        "//! A caller.\nfn average(x: &[f64]) -> f64 {\n    lumen_dsp::stats::mean(x)\n}\n";
+    let files = vec![
+        file("crates/dsp/src/stats.rs", &justified),
+        file("crates/core/src/features.rs", caller),
+    ];
+    let findings = lint_files(files, &Config::default()).findings;
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["unused-allow"], "{findings:?}");
 }

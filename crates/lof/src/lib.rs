@@ -43,7 +43,6 @@ mod error;
 pub mod classifier;
 pub mod distance;
 pub mod grid;
-pub mod kdtree;
 pub mod knn;
 pub mod lof;
 

@@ -2,7 +2,6 @@
 
 use lumen_lof::classifier::LofClassifier;
 use lumen_lof::distance::{Chebyshev, Euclidean, Manhattan, Metric};
-use lumen_lof::kdtree::KdTree;
 use lumen_lof::knn::KnnIndex;
 use lumen_lof::lof::LofModel;
 use proptest::prelude::*;
@@ -91,28 +90,6 @@ proptest! {
         if a.is_finite() && b.is_finite() {
             prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn kdtree_matches_brute_force(train in points(3, 4..40), q in prop::collection::vec(-100.0f64..100.0, 3..=3), k in 1usize..5) {
-        prop_assume!(k <= train.len());
-        let tree = KdTree::new(train.clone()).unwrap();
-        let brute = KnnIndex::new(train).unwrap();
-        let a = tree.nearest(&q, k, None).unwrap();
-        let b = brute.nearest(&q, k, None).unwrap();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn kdtree_leave_one_out_matches_brute_force(train in points(2, 5..25), k in 1usize..4, pick in 0usize..25) {
-        prop_assume!(k < train.len());
-        let exclude = pick % train.len();
-        let q = train[exclude].clone();
-        let tree = KdTree::new(train.clone()).unwrap();
-        let brute = KnnIndex::new(train).unwrap();
-        let a = tree.nearest(&q, k, Some(exclude)).unwrap();
-        let b = brute.nearest(&q, k, Some(exclude)).unwrap();
-        prop_assert_eq!(a, b);
     }
 
     #[test]

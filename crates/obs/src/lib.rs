@@ -9,7 +9,7 @@
 //! synthesizer) emits [`Event`]s through; where they go is decided by the
 //! [`Sink`] behind it:
 //!
-//! * [`NullSink`] / [`Recorder::null`] — the default: emission
+//! * no sink at all — [`Recorder::null`], the default: emission
 //!   short-circuits before any event is assembled;
 //! * [`InMemorySink`] — buffers events and aggregates them into a
 //!   [`Registry`] / [`Snapshot`];
@@ -60,7 +60,7 @@ pub use flight::{
 };
 pub use recorder::{Recorder, SpanGuard, TraceGuard};
 pub use registry::{Histogram, Registry, Snapshot, SpanRow};
-pub use sink::{InMemorySink, JsonlSink, NullSink, Sink};
+pub use sink::{InMemorySink, JsonlSink, Sink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

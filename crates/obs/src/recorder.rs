@@ -34,10 +34,9 @@ struct Inner {
 
 /// A cheap, cloneable handle instrumented code emits events through.
 ///
-/// The disabled state ([`Recorder::null`], the default, or any sink whose
-/// [`Sink::is_active`] is `false`) short-circuits before any event is
-/// assembled: no allocation, no clock read, no lock. Instrumented APIs can
-/// therefore take a `Recorder` unconditionally.
+/// The disabled state ([`Recorder::null`], the default) short-circuits
+/// before any event is assembled: no allocation, no clock read, no lock.
+/// Instrumented APIs can therefore take a `Recorder` unconditionally.
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -57,19 +56,13 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// A recorder emitting into `sink`. An inactive sink yields a disabled
-    /// recorder, so `Recorder::new(Arc::new(NullSink))` costs nothing per
-    /// event.
+    /// A recorder emitting into `sink`.
     pub fn new(sink: Arc<dyn Sink>) -> Self {
-        if sink.is_active() {
-            Recorder {
-                inner: Some(Arc::new(Inner {
-                    sink,
-                    seq: AtomicU64::new(0),
-                })),
-            }
-        } else {
-            Recorder::null()
+        Recorder {
+            inner: Some(Arc::new(Inner {
+                sink,
+                seq: AtomicU64::new(0),
+            })),
         }
     }
 
@@ -346,7 +339,6 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::NullSink;
 
     #[test]
     fn null_recorder_is_disabled_and_silent() {
@@ -356,12 +348,6 @@ mod tests {
         rec.add("frames", 1);
         rec.observe("score", 2.0);
         // Nothing to assert beyond "does not panic": there is no sink.
-    }
-
-    #[test]
-    fn null_sink_collapses_to_disabled() {
-        let rec = Recorder::new(Arc::new(NullSink));
-        assert!(!rec.is_enabled());
     }
 
     #[test]

@@ -325,11 +325,6 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    /// Value histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Span-duration histogram (nanoseconds) by name.
     pub fn span_durations(&self, name: &str) -> Option<&Histogram> {
         self.spans.get(name)

@@ -1,5 +1,5 @@
 //! Renders a [`Snapshot`] as an aligned text table (the per-stage latency
-//! breakdown of the paper's Sec. IX overhead analysis) or as JSON.
+//! breakdown of the paper's Sec. IX overhead analysis).
 
 use crate::registry::Snapshot;
 
@@ -115,15 +115,6 @@ pub fn render_text(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Renders the snapshot as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Propagates serialization errors (none occur for well-formed snapshots).
-pub fn render_json(snapshot: &Snapshot) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(snapshot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +164,5 @@ mod tests {
     fn empty_snapshot_renders_placeholder() {
         let text = render_text(&Registry::new().snapshot());
         assert!(text.contains("no observability data"));
-    }
-
-    #[test]
-    fn json_report_parses_back() {
-        let snap = snapshot();
-        let json = render_json(&snap).unwrap();
-        let back: Snapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }

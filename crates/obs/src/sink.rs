@@ -1,12 +1,11 @@
-//! Pluggable event sinks: the disabled fast path, in-memory aggregation
-//! and line-delimited JSON capture.
+//! Pluggable event sinks: in-memory aggregation and line-delimited JSON
+//! capture. Disabled telemetry has no sink at all: it is
+//! [`Recorder::null`](crate::recorder::Recorder::null).
 
 use crate::event::Event;
 use crate::lock;
 use crate::registry::{Registry, Snapshot};
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, Write};
 use std::sync::{Mutex, PoisonError};
 
 /// Consumes observability events. Implementations must be cheap and
@@ -15,29 +14,6 @@ use std::sync::{Mutex, PoisonError};
 pub trait Sink: Send + Sync {
     /// Consumes one event.
     fn record(&self, event: &Event);
-
-    /// `false` when recording is a no-op; the
-    /// [`Recorder`](crate::recorder::Recorder) checks this once at
-    /// construction and skips event assembly entirely for inactive sinks.
-    fn is_active(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything. A recorder built on this sink is
-/// indistinguishable from [`Recorder::null`](crate::recorder::Recorder::null):
-/// no event is ever assembled, so the instrumented path stays within noise
-/// of the uninstrumented one (the `micro.detect_null_sink_ms` row of
-/// `lumen-bench` times it against `micro.detect_uninstrumented_ms`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &Event) {}
-
-    fn is_active(&self) -> bool {
-        false
-    }
 }
 
 /// Buffers every event in memory and aggregates on demand.
@@ -122,17 +98,6 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 }
 
-impl JsonlSink<BufWriter<File>> {
-    /// Creates (truncating) a JSONL capture file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
 impl JsonlSink<Vec<u8>> {
     /// The captured JSONL text so far (in-memory writer only) — handy for
     /// tests and determinism checks.
@@ -169,11 +134,6 @@ mod tests {
             duration_ns: None,
             detail: None,
         }
-    }
-
-    #[test]
-    fn null_sink_is_inactive() {
-        assert!(!NullSink.is_active());
     }
 
     #[test]

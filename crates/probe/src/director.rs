@@ -87,7 +87,7 @@ pub struct ProbeDirector {
     in_flight: Option<ChallengeSchedule>,
     /// Whether the outstanding challenge crossed a checkpoint/restore
     /// boundary (armed by [`ProbeDirector::note_restart`], cleared by the
-    /// first conclusive resolve or abandon).
+    /// first conclusive resolve).
     restart_window: bool,
     /// Restart-window retries consumed so far.
     restart_retries_used: u64,
@@ -247,13 +247,6 @@ impl ProbeDirector {
         self.in_flight = None;
         Ok(verdict)
     }
-
-    /// Discards the outstanding challenge without verification (e.g. the
-    /// probed clip was shed before its response completed).
-    pub fn abandon(&mut self) -> Option<ChallengeSchedule> {
-        self.restart_window = false;
-        self.in_flight.take()
-    }
 }
 
 /// Neutralizes a restart-window missing response: the measurements stay
@@ -323,11 +316,11 @@ mod tests {
         assert_eq!(director.in_flight(), Some(&first));
         // Outstanding probe and cooldown both block the next request.
         assert!(director.observe(&inconclusive(1)).is_none());
-        director.abandon();
+        director.in_flight = None;
         assert!(director.observe(&inconclusive(2)).is_none(), "cooling down");
         let second = director.observe(&inconclusive(3)).expect("second probe");
         assert_ne!(first, second, "each probe draws a fresh challenge");
-        director.abandon();
+        director.in_flight = None;
         // Budget of two is now exhausted forever.
         for i in 4..10 {
             assert!(director.observe(&inconclusive(i)).is_none());
@@ -445,15 +438,6 @@ mod tests {
     fn note_restart_without_challenge_is_a_noop() {
         let mut director = ProbeDirector::new(ProbePolicy::default(), 42).unwrap();
         director.note_restart();
-        assert!(!director.in_restart_window());
-    }
-
-    #[test]
-    fn abandon_closes_the_restart_window() {
-        let mut director = ProbeDirector::new(ProbePolicy::default(), 42).unwrap();
-        director.observe(&inconclusive(0)).expect("probe fires");
-        director.note_restart();
-        director.abandon();
         assert!(!director.in_restart_window());
     }
 

@@ -13,7 +13,6 @@ use crate::Result;
 use lumen_chat::endpoint::Caller;
 use lumen_chat::scenario::ScenarioBuilder;
 use lumen_dsp::Signal;
-use lumen_video::screen::Screen;
 
 /// Embeds a [`ChallengeSchedule`] into transmitted display luma.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,16 +67,6 @@ impl ProbeInjector {
     pub fn armed_scenario(&self, builder: ScenarioBuilder) -> ScenarioBuilder {
         builder.with_tx_overlay(self.schedule.waveform())
     }
-
-    /// Predicted incident-illuminance swing of a full challenge step
-    /// (`-amplitude → +amplitude`) on `screen` at operating point
-    /// `base_luma` — the physical signal the face must reflect. Probes on
-    /// near-black or near-white content are partially swallowed by the
-    /// display clamp; callers can check this before spending a probe.
-    pub fn predicted_incident_swing(&self, screen: &Screen, base_luma: f64) -> f64 {
-        screen.incident_swing(base_luma, self.schedule.amplitude)
-            - screen.incident_swing(base_luma, -self.schedule.amplitude)
-    }
 }
 
 #[cfg(test)]
@@ -115,15 +104,5 @@ mod tests {
             lumen_video::content::MeteringScript::constant(100.0, 8.0).unwrap(),
         ));
         assert_eq!(caller.overlay.as_deref(), Some(&s.waveform()[..]));
-    }
-
-    #[test]
-    fn predicted_swing_shrinks_off_midrange() {
-        let injector = ProbeInjector::new(schedule());
-        let screen = Screen::default();
-        let mid = injector.predicted_incident_swing(&screen, 128.0);
-        let dark = injector.predicted_incident_swing(&screen, 2.0);
-        assert!(mid > 0.0);
-        assert!(dark < mid, "dark content must swallow part of the probe");
     }
 }

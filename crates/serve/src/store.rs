@@ -760,11 +760,6 @@ impl<S: Storage, T: Serialize + Deserialize> CheckpointStore<S, T> {
         &mut self.storage
     }
 
-    /// The generation a pending retry is trying to flush, if any.
-    pub fn pending_generation(&self) -> Option<u64> {
-        self.pending.as_ref().map(|p| p.generation)
-    }
-
     /// The generation number the next [`CheckpointStore::commit`] will be
     /// assigned (chaos harnesses corrupt a snapshot for a specific
     /// generation *before* committing it).
@@ -1236,7 +1231,7 @@ mod tests {
                 attempts: 2
             }
         );
-        assert_eq!(store.pending_generation(), None);
+        assert_eq!(store.pending.as_ref().map(|p| p.generation), None);
         assert_eq!(store.stats().gave_up, 1);
     }
 
@@ -1253,11 +1248,11 @@ mod tests {
         .unwrap();
         let mut store = CheckpointStore::new(storage, StoreConfig::default()).unwrap();
         store.commit(0, &empty_snapshot(0)).unwrap();
-        assert_eq!(store.pending_generation(), Some(1));
+        assert_eq!(store.pending.as_ref().map(|p| p.generation), Some(1));
         store.storage_mut().faults = StorageFaults::none();
         let out = store.commit(1, &empty_snapshot(1)).unwrap();
         assert_eq!(out, CommitOutcome::Committed { generation: 2 });
-        assert_eq!(store.pending_generation(), None);
+        assert_eq!(store.pending.as_ref().map(|p| p.generation), None);
         assert_eq!(store.stats().superseded, 1);
     }
 

@@ -17,7 +17,6 @@ pub const LUMA_PER_LUX: f64 = 0.45;
 
 /// An ambient lighting condition.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AmbientLight {
     /// Illuminance on the face in lux.
     pub lux: f64,

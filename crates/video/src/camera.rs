@@ -13,7 +13,6 @@ use rand::Rng;
 
 /// Light-metering strategy (Sec. II-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MeteringMode {
     /// Meter a small spot (tap-to-meter on phones). Exposure reacts fully
     /// to the metered patch.
@@ -38,7 +37,6 @@ impl MeteringMode {
 
 /// A camera model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Camera {
     /// Metering strategy.
     pub metering: MeteringMode,

@@ -18,7 +18,6 @@ use rand::Rng;
 
 /// One scripted luminance change.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LuminanceStep {
     /// Time the change begins, in seconds.
     pub time: f64,
@@ -30,7 +29,6 @@ pub struct LuminanceStep {
 
 /// Parameters for random script generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScriptParams {
     /// Minimum and maximum gap between consecutive changes, seconds.
     pub gap: (f64, f64),
@@ -95,7 +93,6 @@ impl ScriptParams {
 
 /// A piecewise luminance trajectory for a video's overall luminance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MeteringScript {
     initial_level: f64,
     steps: Vec<LuminanceStep>,

@@ -11,7 +11,6 @@ use crate::{Result, VideoError};
 
 /// A rectangular region of a frame: origin `(x, y)`, `width × height`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Region {
     /// Left edge (inclusive).
     pub x: usize,

@@ -59,9 +59,7 @@ mod error;
 pub mod ambient;
 pub mod camera;
 pub mod content;
-pub mod exposure;
 pub mod frame;
-pub mod metering;
 pub mod noise;
 pub mod pixel;
 pub mod profile;

@@ -13,7 +13,6 @@ pub const LUMA_B: f64 = 0.0722;
 
 /// An 8-bit RGB pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rgb {
     /// Red channel.
     pub r: u8,
@@ -68,12 +67,6 @@ impl From<(u8, u8, u8)> for Rgb {
     fn from((r, g, b): (u8, u8, u8)) -> Self {
         Rgb::new(r, g, b)
     }
-}
-
-/// Luminance (Eq. 3) of floating-point channel values on the same `[0, 255]`
-/// scale; inputs are not clamped.
-pub fn luminance_f64(r: f64, g: f64, b: f64) -> f64 {
-    LUMA_R * r + LUMA_G * g + LUMA_B * b
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@ use crate::{Result, VideoError};
 
 /// A simulated participant.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UserProfile {
     /// Stable identifier (0-based).
     pub id: usize,
@@ -111,13 +110,6 @@ impl UserProfile {
             // kept in range; unit tests construct every preset
             .expect("presets are valid")
     }
-
-    /// All ten preset volunteers.
-    pub fn all_presets() -> Vec<UserProfile> {
-        (0..UserProfile::PRESET_COUNT)
-            .map(UserProfile::preset)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +132,9 @@ mod tests {
 
     #[test]
     fn presets_are_distinct_and_diverse() {
-        let all = UserProfile::all_presets();
+        let all: Vec<UserProfile> = (0..UserProfile::PRESET_COUNT)
+            .map(UserProfile::preset)
+            .collect();
         assert_eq!(all.len(), 10);
         let min_r = all.iter().map(|p| p.skin_reflectance).fold(1.0, f64::min);
         let max_r = all.iter().map(|p| p.skin_reflectance).fold(0.0, f64::max);

@@ -31,19 +31,6 @@ pub fn face_radiance(profile: &UserProfile, screen_incident: f64, ambient_incide
         * (NASAL_CAPTURE * screen_incident.max(0.0) + ambient_incident.max(0.0))
 }
 
-/// Eq. 2: the ratio of reflected luminances equals the ratio of incident
-/// illuminances, independent of reflectance. Returns `None` when the
-/// denominator illuminance is zero.
-pub fn von_kries_ratio(e_before: f64, e_after: f64) -> Option<f64> {
-    // lint:allow(float-eq): exactly zero illuminance is the documented
-    // degenerate case this function maps to None
-    if e_before == 0.0 {
-        None
-    } else {
-        Some(e_after / e_before)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,13 +60,8 @@ mod tests {
             let i_before = face_radiance(&user, 10.0, 0.0);
             let i_after = face_radiance(&user, 25.0, 0.0);
             let ratio = i_after / i_before;
-            assert!((ratio - von_kries_ratio(10.0, 25.0).unwrap()).abs() < 1e-12);
+            assert!((ratio - 25.0 / 10.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn ratio_of_zero_illuminant_is_none() {
-        assert_eq!(von_kries_ratio(0.0, 5.0), None);
     }
 
     #[test]

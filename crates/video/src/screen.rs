@@ -12,7 +12,6 @@ use crate::{Result, VideoError};
 /// Panel technology. All three reduce emitted light for darker content
 //  (Sec. II-D), differing only in efficiency and black level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PanelKind {
     /// LED-backlit LCD (the paper's Dell 27-inch testbed monitor).
     #[default]
@@ -58,7 +57,6 @@ const H_FACTOR: f64 = 9.0 / 18.357_559_75;
 
 /// A screen in front of the callee's face.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Screen {
     /// Diagonal size in inches.
     pub diagonal_in: f64,
@@ -206,17 +204,6 @@ impl Screen {
         let floor = self.kind.black_level() * 255.0;
         self.illuminance_gain() * (display_luma.clamp(0.0, 255.0).max(floor))
     }
-
-    /// Change in incident illuminance produced by stepping the displayed
-    /// luminance from `base_luma` to `base_luma + delta` — the reflected
-    /// swing an active probe of amplitude `delta` creates at operating
-    /// point `base_luma`, before camera gain. Unlike a naive
-    /// `illuminance_gain() * delta`, this honours the `[0, 255]` display
-    /// clamp and the panel's black-level floor: a probe step driven below
-    /// black or above white is partially or fully swallowed.
-    pub fn incident_swing(&self, base_luma: f64, delta: f64) -> f64 {
-        self.incident(base_luma + delta) - self.incident(base_luma)
-    }
 }
 
 impl Default for Screen {
@@ -276,15 +263,16 @@ mod tests {
     #[test]
     fn incident_swing_honours_display_limits() {
         let s = Screen::dell_27in();
+        let swing = |base: f64, delta: f64| s.incident(base + delta) - s.incident(base);
         // Mid-grey operating point: the swing is linear in the step.
-        let up = s.incident_swing(120.0, 10.0);
-        let down = s.incident_swing(120.0, -10.0);
+        let up = swing(120.0, 10.0);
+        let down = swing(120.0, -10.0);
         assert!((up - s.illuminance_gain() * 10.0).abs() < 1e-9, "{up}");
         assert!((up + down).abs() < 1e-9, "asymmetric mid-range swing");
         // Near white the upward step is clipped by the display range...
-        assert!(s.incident_swing(250.0, 10.0) < up * 0.6);
+        assert!(swing(250.0, 10.0) < up * 0.6);
         // ...and a step fully below the black-level floor is swallowed.
-        assert_eq!(s.incident_swing(0.0, -10.0), 0.0);
+        assert_eq!(swing(0.0, -10.0), 0.0);
     }
 
     #[test]

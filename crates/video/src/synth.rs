@@ -24,7 +24,6 @@ use lumen_obs::Recorder;
 
 /// Physical configuration of the callee's side.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthConfig {
     /// The screen displaying the caller's video.
     pub screen: Screen,
